@@ -257,7 +257,8 @@ let test_golden_spark () =
   Alcotest.(check int) "no ring drops" 0 (Recorder.dropped tr);
   let events = Recorder.events tr in
   Alcotest.(check int) "all spans closed" 0 (check_nesting events);
-  golden_check ~file:"spark_small.trace" (Export.to_text events)
+  golden_check ~file:"spark_small.trace" (Export.to_text events);
+  golden_check ~file:"spark_small.chrome.json" (Export.to_chrome_json events)
 
 (* A tiny deterministic Giraph scenario: three supersteps of the BSP
    engine in TeraHeap mode over a 120-vertex graph, with a heap small
