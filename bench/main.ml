@@ -164,7 +164,7 @@ let () =
         (* Build every requested plan first, then submit the cells of
            all sections as one global batch: the scheduler sees the
            whole cell population at once instead of 2–4 cells per
-           pmap call. *)
+           section. *)
         let plans = List.map (fun (n, d, mk) -> (n, d, mk ())) selected in
         let batch = List.concat_map (fun (_, _, s) -> Plan.cells s) plans in
         ignore (Scheduler.run_cells sched batch);

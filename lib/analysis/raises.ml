@@ -25,7 +25,7 @@
    - fault-barrier: a definition must not leak a tracked exception it
      neither handles nor declares; [Out_of_h2_space] must never escape
      [Ps_gc]'s move passes, declared or not.
-   - cell-boundary: thunks handed to Cell/Plan/Scheduler/Pool sinks may
+   - cell-boundary: thunks handed to Cell/Plan/Scheduler sinks may
      only let [Out_of_memory]/[Invalid_heap_state] escape — the
      scheduler's documented re-raise set.
    - pure-render: [Plan.seal ~render] callbacks must be exception-free
@@ -214,28 +214,21 @@ let is_raise env fn =
    raises are not the enclosing definition's to answer for (the
    cell-boundary and pure-render rules audit them instead), so [eval]
    skips function-valued arguments at these applications. *)
-let deferral_sink env fn =
+let deferral_sink fn =
   match fn.pexp_desc with
   | Pexp_ident { txt; _ } -> (
       let path = Syntax.flatten_lid txt in
-      match path with
-      | [ ("pmap" | "pmap_grouped") ] when shadow_count env (List.hd path) = 0
-        ->
+      match Syntax.last2 path with
+      | Some ("Scheduler", ("run_cells" | "run_thunks"))
+      | Some
+          ( "Plan",
+            ( "cell" | "cell_list" | "costed_list" | "grouped"
+            | "grouped_costed" | "seal" ) )
+      | Some ("Cell", ("make" | "of_thunk"))
+      | Some ("Policy", "make")
+      | Some ("Domain", "spawn") ->
           Some (String.concat "." path)
-      | _ -> (
-          match Syntax.last2 path with
-          | Some ("Pool", ("run" | "map"))
-          | Some ("Runners", ("pmap" | "pmap_grouped"))
-          | Some ("Scheduler", ("run_cells" | "run_thunks"))
-          | Some
-              ( "Plan",
-                ( "cell" | "cell_list" | "costed_list" | "grouped"
-                | "grouped_costed" | "seal" ) )
-          | Some ("Cell", ("make" | "of_thunk"))
-          | Some ("Policy", "make")
-          | Some ("Domain", "spawn") ->
-              Some (String.concat "." path)
-          | _ -> None))
+      | _ -> None)
   | _ -> None
 
 let rec is_function e =
@@ -296,7 +289,7 @@ let rec eval env e =
             ident_contrib ~apply_args:args env txt fn.pexp_loc
         | _ -> eval env fn
       in
-      match deferral_sink env fn with
+      match deferral_sink fn with
       | Some _ ->
           (* Non-function arguments still evaluate here and now. *)
           List.fold_left
@@ -621,27 +614,21 @@ let check_def t ~lib acc ~modname ~prefix ~allows vb =
 (* The sinks whose thunk arguments cross onto worker domains, audited
    by cell-boundary. Policy.make callbacks run during GC on whichever
    domain owns the runtime — same discipline. *)
-let cell_sink fn shadow_count =
+let cell_sink fn =
   match fn.pexp_desc with
   | Pexp_ident { txt; _ } -> (
       let path = Syntax.flatten_lid txt in
-      match path with
-      | [ ("pmap" | "pmap_grouped") ] when shadow_count (List.hd path) = 0 ->
-          Some (List.hd path)
-      | _ -> (
-          match Syntax.last2 path with
-          | Some ("Pool", ("run" | "map"))
-          | Some ("Runners", ("pmap" | "pmap_grouped"))
-          | Some ("Scheduler", ("run_cells" | "run_thunks"))
-          | Some
-              ( "Plan",
-                ( "cell" | "cell_list" | "costed_list" | "grouped"
-                | "grouped_costed" ) )
-          | Some ("Cell", ("make" | "of_thunk"))
-          | Some ("Policy", "make")
-          | Some ("Domain", "spawn") ->
-              Some (String.concat "." path)
-          | _ -> None))
+      match Syntax.last2 path with
+      | Some ("Scheduler", ("run_cells" | "run_thunks"))
+      | Some
+          ( "Plan",
+            ("cell" | "cell_list" | "costed_list" | "grouped" | "grouped_costed")
+          )
+      | Some ("Cell", ("make" | "of_thunk"))
+      | Some ("Policy", "make")
+      | Some ("Domain", "spawn") ->
+          Some (String.concat "." path)
+      | _ -> None)
   | _ -> None
 
 let render_sink fn =
@@ -770,7 +757,7 @@ let check_file t (s : Source.t) =
         let allows = Syntax.attr_allows e.pexp_attributes @ allows in
         (match e.pexp_desc with
         | Pexp_apply (fn, args) -> (
-            (match cell_sink fn (shadow_count env) with
+            (match cell_sink fn with
             | Some callee -> check_cell_site ~allows callee args
             | None -> ());
             match render_sink fn with
@@ -779,8 +766,8 @@ let check_file t (s : Source.t) =
         | _ -> ());
         iter_children ~allows e
       and iter_children ~allows e =
-        (* Maintain the same shadow discipline as [eval] so bare sink
-           names ([pmap]) are only matched when unshadowed. *)
+        (* Maintain the same shadow discipline as [eval], which
+           resolves the names in sink arguments against it. *)
         match e.pexp_desc with
         | Pexp_fun (_, dflt, pat, body) ->
             Option.iter (walk_expr ~allows) dflt;

@@ -1,3 +1,5 @@
+module Json = Th_json.Json
+
 (* ------------------------------------------------------------------ *)
 (* Text                                                                *)
 
@@ -29,54 +31,91 @@ let to_text ?waived findings =
   Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
-(* JSON writing                                                        *)
+(* JSON                                                                *)
 
-let escape_json b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
+let int n = Json.Number (string_of_int n)
 
-let add_finding b (f : Finding.t) =
-  Buffer.add_string b "{\"file\":\"";
-  escape_json b f.file;
-  Buffer.add_string b "\",\"line\":";
-  Buffer.add_string b (string_of_int f.line);
-  Buffer.add_string b ",\"col\":";
-  Buffer.add_string b (string_of_int f.col);
-  Buffer.add_string b ",\"rule\":\"";
-  escape_json b f.rule;
-  Buffer.add_string b "\",\"severity\":\"";
-  Buffer.add_string b (Finding.severity_to_string f.severity);
-  Buffer.add_string b "\",\"message\":\"";
-  escape_json b f.message;
-  Buffer.add_string b "\"}"
-
-let add_list b fs =
-  Buffer.add_char b '[';
-  List.iteri
-    (fun i f ->
-      if i > 0 then Buffer.add_string b ",\n ";
-      add_finding b f)
-    fs;
-  Buffer.add_char b ']'
+let finding_to_json (f : Finding.t) =
+  Json.Object
+    [
+      ("file", Json.String f.file);
+      ("line", int f.line);
+      ("col", int f.col);
+      ("rule", Json.String f.rule);
+      ("severity", Json.String (Finding.severity_to_string f.severity));
+      ("message", Json.String f.message);
+    ]
 
 let to_json ?(waived = []) findings =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "{\"version\":1,\n\"findings\":";
-  add_list b findings;
-  Buffer.add_string b ",\n\"waived\":";
-  add_list b waived;
-  Buffer.add_string b "}\n";
-  Buffer.contents b
+  Json.to_string
+    (Json.Object
+       [
+         ("version", int 1);
+         ("findings", Json.Array (List.map finding_to_json findings));
+         ("waived", Json.Array (List.map finding_to_json waived));
+       ])
+
+let ( let* ) = Result.bind
+
+let severity s =
+  match Finding.severity_of_string s with
+  | Some sv -> Ok sv
+  | None -> Error ("unknown severity " ^ s)
+
+let finding_of_json = function
+  | Json.Object fields ->
+      let set (f : Finding.t) (k, v) =
+        match (k, v, Json.to_int v) with
+        | "file", Json.String s, _ -> Ok { f with file = s }
+        | "line", _, Some n -> Ok { f with line = n }
+        | "col", _, Some n -> Ok { f with col = n }
+        | "rule", Json.String s, _ -> Ok { f with rule = s }
+        | "severity", Json.String s, _ ->
+            let* sv = severity s in
+            Ok { f with severity = sv }
+        | "message", Json.String s, _ -> Ok { f with message = s }
+        | _ -> Error ("unexpected field " ^ k)
+      in
+      let zero =
+        {
+          Finding.file = "";
+          line = 0;
+          col = 0;
+          rule = "";
+          severity = Finding.Error;
+          message = "";
+        }
+      in
+      List.fold_left
+        (fun acc kv ->
+          let* f = acc in
+          set f kv)
+        (Ok zero) fields
+  | _ -> Error "malformed finding object"
+
+(* Findings in order, stopping at the first malformed one. *)
+let all_ok parse items =
+  List.fold_right
+    (fun item acc ->
+      let* rest = acc in
+      let* x = parse item in
+      Ok (x :: rest))
+    items (Ok [])
+
+let findings_at key doc =
+  match Json.member key doc with
+  | Some (Json.Array items) -> all_ok finding_of_json items
+  | _ -> Error ("missing " ^ key ^ " array")
+
+let of_json s =
+  let* doc = Json.of_string s in
+  match Option.bind (Json.member "version" doc) Json.to_int with
+  | Some 1 ->
+      let* findings = findings_at "findings" doc in
+      let* waived = findings_at "waived" doc in
+      Ok (findings, waived)
+  | Some v -> Error (Printf.sprintf "unknown version %d" v)
+  | None -> Error "missing version"
 
 (* ------------------------------------------------------------------ *)
 (* SARIF 2.1.0 (minimal profile)                                       *)
@@ -84,308 +123,117 @@ let to_json ?(waived = []) findings =
 (* One run, one driver, every registry rule in the driver's rule
    metadata; waived findings are emitted as results carrying an
    inSource suppression, which is how SARIF viewers (and the GitHub
-   code-scanning UI) display "found but deliberately accepted". Only
-   strings and integers are emitted so [of_sarif] can reuse the same
-   dependency-free tokenizer as [of_json]. *)
-let add_sarif_result b ~suppressed (f : Finding.t) =
-  Buffer.add_string b "{\"ruleId\":\"";
-  escape_json b f.rule;
-  Buffer.add_string b "\",\"level\":\"";
-  Buffer.add_string b (Finding.severity_to_string f.severity);
-  Buffer.add_string b "\",\"message\":{\"text\":\"";
-  escape_json b f.message;
-  Buffer.add_string b
-    "\"},\"locations\":[{\"physicalLocation\":{\"artifactLocation\":{\"uri\":\"";
-  escape_json b f.file;
-  Buffer.add_string b "\"},\"region\":{\"startLine\":";
-  Buffer.add_string b (string_of_int f.line);
-  Buffer.add_string b ",\"startColumn\":";
-  (* SARIF columns are 1-based; findings carry 0-based columns. *)
-  Buffer.add_string b (string_of_int (f.col + 1));
-  Buffer.add_string b "}}}]";
-  if suppressed then
-    Buffer.add_string b ",\"suppressions\":[{\"kind\":\"inSource\"}]";
-  Buffer.add_string b "}"
+   code-scanning UI) display "found but deliberately accepted". *)
+let text s = Json.Object [ ("text", Json.String s) ]
+
+let sarif_result ~suppressed (f : Finding.t) =
+  let location =
+    Json.Object
+      [
+        ( "physicalLocation",
+          Json.Object
+            [
+              ("artifactLocation", Json.Object [ ("uri", Json.String f.file) ]);
+              (* SARIF columns are 1-based; findings carry 0-based columns. *)
+              ( "region",
+                Json.Object
+                  [ ("startLine", int f.line); ("startColumn", int (f.col + 1)) ]
+              );
+            ] );
+      ]
+  in
+  let suppression = Json.Object [ ("kind", Json.String "inSource") ] in
+  Json.Object
+    ([
+       ("ruleId", Json.String f.rule);
+       ("level", Json.String (Finding.severity_to_string f.severity));
+       ("message", text f.message);
+       ("locations", Json.Array [ location ]);
+     ]
+    @ if suppressed then [ ("suppressions", Json.Array [ suppression ]) ] else [])
 
 let to_sarif ?(waived = []) findings =
-  let b = Buffer.create 8192 in
-  Buffer.add_string b
-    "{\"version\":\"2.1.0\",\n\
-     \"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json\",\n\
-     \"runs\":[{\"tool\":{\"driver\":{\"name\":\"th-lint\",\"rules\":[";
-  List.iteri
-    (fun i (r : Rule.t) ->
-      if i > 0 then Buffer.add_string b ",\n";
-      Buffer.add_string b "{\"id\":\"";
-      escape_json b r.name;
-      Buffer.add_string b "\",\"shortDescription\":{\"text\":\"";
-      escape_json b r.synopsis;
-      Buffer.add_string b "\"}}")
-    Rule.all;
-  Buffer.add_string b "]}},\n\"results\":[";
-  List.iteri
-    (fun i f ->
-      if i > 0 then Buffer.add_string b ",\n";
-      add_sarif_result b ~suppressed:false f)
-    findings;
-  List.iteri
-    (fun i f ->
-      if i > 0 || findings <> [] then Buffer.add_string b ",\n";
-      add_sarif_result b ~suppressed:true f)
-    waived;
-  Buffer.add_string b "]}]}\n";
-  Buffer.contents b
-
-(* ------------------------------------------------------------------ *)
-(* JSON reading (exactly the subset written above: objects, arrays,    *)
-(* strings with the escapes we emit, and non-negative integers)        *)
-
-exception Bad of string
-
-type tok =
-  | Lbrace | Rbrace | Lbrack | Rbrack | Colon | Comma
-  | Str of string
-  | Num of int
-
-let tokenize s =
-  let n = String.length s in
-  let toks = ref [] in
-  let i = ref 0 in
-  while !i < n do
-    (match s.[!i] with
-    | ' ' | '\n' | '\t' | '\r' -> incr i
-    | '{' -> toks := Lbrace :: !toks; incr i
-    | '}' -> toks := Rbrace :: !toks; incr i
-    | '[' -> toks := Lbrack :: !toks; incr i
-    | ']' -> toks := Rbrack :: !toks; incr i
-    | ':' -> toks := Colon :: !toks; incr i
-    | ',' -> toks := Comma :: !toks; incr i
-    | '"' ->
-        let b = Buffer.create 32 in
-        incr i;
-        let fin = ref false in
-        while not !fin do
-          if !i >= n then raise (Bad "unterminated string");
-          (match s.[!i] with
-          | '"' -> fin := true
-          | '\\' ->
-              if !i + 1 >= n then raise (Bad "bad escape");
-              (match s.[!i + 1] with
-              | '"' -> Buffer.add_char b '"'
-              | '\\' -> Buffer.add_char b '\\'
-              | 'n' -> Buffer.add_char b '\n'
-              | 'r' -> Buffer.add_char b '\r'
-              | 't' -> Buffer.add_char b '\t'
-              | 'u' ->
-                  if !i + 5 >= n then raise (Bad "bad \\u escape");
-                  let code =
-                    try int_of_string ("0x" ^ String.sub s (!i + 2) 4)
-                    with _ -> raise (Bad "bad \\u escape")
-                  in
-                  if code > 0xff then raise (Bad "non-latin \\u escape")
-                  else Buffer.add_char b (Char.chr code);
-                  i := !i + 4
-              | c -> raise (Bad (Printf.sprintf "unknown escape \\%c" c)));
-              incr i
-          | c -> Buffer.add_char b c);
-          incr i
-        done;
-        toks := Str (Buffer.contents b) :: !toks
-    | '0' .. '9' | '-' ->
-        let j = ref !i in
-        if s.[!j] = '-' then incr j;
-        while !j < n && (match s.[!j] with '0' .. '9' -> true | _ -> false) do
-          incr j
-        done;
-        let num =
-          try int_of_string (String.sub s !i (!j - !i))
-          with _ -> raise (Bad "bad number")
-        in
-        toks := Num num :: !toks;
-        i := !j
-    | c -> raise (Bad (Printf.sprintf "unexpected character %C" c)));
-  done;
-  List.rev !toks
-[@@th.raises "Bad"]
-
-let parse_finding toks =
-  let expect t = function
-    | x :: rest when x = t -> rest
-    | _ -> raise (Bad "malformed finding object")
+  let rule (r : Rule.t) =
+    Json.Object
+      [ ("id", Json.String r.name); ("shortDescription", text r.synopsis) ]
   in
-  let rec fields acc toks =
-    match toks with
-    | Rbrace :: rest -> (acc, rest)
-    | Comma :: rest -> fields acc rest
-    | Str k :: Colon :: v :: rest ->
-        let acc =
-          match (k, v) with
-          | "file", Str s -> { acc with Finding.file = s }
-          | "line", Num n -> { acc with Finding.line = n }
-          | "col", Num n -> { acc with Finding.col = n }
-          | "rule", Str s -> { acc with Finding.rule = s }
-          | "severity", Str s -> (
-              match Finding.severity_of_string s with
-              | Some sv -> { acc with Finding.severity = sv }
-              | None -> raise (Bad ("unknown severity " ^ s)))
-          | "message", Str s -> { acc with Finding.message = s }
-          | _ -> raise (Bad ("unexpected field " ^ k))
-        in
-        fields acc rest
-    | _ -> raise (Bad "malformed finding object")
+  let driver =
+    Json.Object
+      [
+        ("name", Json.String "th-lint");
+        ("rules", Json.Array (List.map rule Rule.all));
+      ]
   in
-  let zero =
-    {
-      Finding.file = "";
-      line = 0;
-      col = 0;
-      rule = "";
-      severity = Finding.Error;
-      message = "";
-    }
+  let results =
+    List.map (sarif_result ~suppressed:false) findings
+    @ List.map (sarif_result ~suppressed:true) waived
   in
-  fields zero (expect Lbrace toks)
-[@@th.raises "Bad"]
+  Json.to_string
+    (Json.Object
+       [
+         ("version", Json.String "2.1.0");
+         ("$schema", Json.String "https://json.schemastore.org/sarif-2.1.0.json");
+         ( "runs",
+           Json.Array
+             [
+               Json.Object
+                 [
+                   ("tool", Json.Object [ ("driver", driver) ]);
+                   ("results", Json.Array results);
+                 ];
+             ] );
+       ])
 
-let parse_array toks =
-  let rec items acc toks =
-    match toks with
-    | Rbrack :: rest -> (List.rev acc, rest)
-    | Comma :: rest -> items acc rest
-    | Lbrace :: _ ->
-        let f, rest = parse_finding toks in
-        items (f :: acc) rest
-    | _ -> raise (Bad "malformed finding array")
+(* [path] walks object members, taking the first element of any array
+   met on the way. *)
+let rec path keys v =
+  match (keys, v) with
+  | [], v -> Ok v
+  | _, Json.Array (first :: _) -> path keys first
+  | k :: rest, v -> (
+      match Json.member k v with
+      | Some v -> path rest v
+      | None -> Error ("missing " ^ k))
+
+let sarif_finding r =
+  let str keys =
+    match path keys r with
+    | Ok (Json.String s) -> Ok s
+    | Ok _ -> Error ("expected a string at " ^ String.concat "." keys)
+    | Error _ as e -> e
   in
-  match toks with
-  | Lbrack :: rest -> items [] rest
-  | _ -> raise (Bad "expected array")
-[@@th.raises "Bad"]
-
-let of_json s =
-  match tokenize s with
-  | exception Bad m -> Error m
-  | toks -> (
-      try
-        match toks with
-        | Lbrace :: Str "version" :: Colon :: Num 1 :: Comma
-          :: Str "findings" :: Colon :: rest -> (
-            let findings, rest = parse_array rest in
-            match rest with
-            | Comma :: Str "waived" :: Colon :: rest -> (
-                let waived, rest = parse_array rest in
-                match rest with
-                | [ Rbrace ] -> Ok (findings, waived)
-                | _ -> Error "trailing tokens")
-            | _ -> Error "missing waived array")
-        | _ -> Error "missing version/findings header"
-      with Bad m -> Error m)
-
-(* ------------------------------------------------------------------ *)
-(* SARIF reading: a generic value parser over the same tokens, then    *)
-(* navigation down to runs[0].results                                  *)
-
-type json = Obj of (string * json) list | Arr of json list | JStr of string | JNum of int
-
-let rec parse_value = function
-  | Lbrace :: rest -> parse_obj [] rest
-  | Lbrack :: rest -> parse_arr [] rest
-  | Str s :: rest -> (JStr s, rest)
-  | Num n :: rest -> (JNum n, rest)
-  | _ -> raise (Bad "malformed value")
-[@@th.raises "Bad"]
-
-and parse_obj acc = function
-  | Rbrace :: rest -> (Obj (List.rev acc), rest)
-  | Comma :: rest -> parse_obj acc rest
-  | Str k :: Colon :: rest ->
-      let v, rest = parse_value rest in
-      parse_obj ((k, v) :: acc) rest
-  | _ -> raise (Bad "malformed object")
-[@@th.raises "Bad"]
-
-and parse_arr acc = function
-  | Rbrack :: rest -> (Arr (List.rev acc), rest)
-  | Comma :: rest -> parse_arr acc rest
-  | toks ->
-      let v, rest = parse_value toks in
-      parse_arr (v :: acc) rest
-[@@th.raises "Bad"]
-
-let member k = function
-  | Obj fields -> List.assoc_opt k fields
-  | _ -> None
+  let num keys =
+    let* v = path keys r in
+    Option.to_result ~none:("expected an integer at " ^ String.concat "." keys)
+      (Json.to_int v)
+  in
+  let loc k = [ "locations"; "physicalLocation"; k ] in
+  let* rule = str [ "ruleId" ] in
+  let* level = str [ "level" ] in
+  let* severity = severity level in
+  let* message = str [ "message"; "text" ] in
+  let* file = str (loc "artifactLocation" @ [ "uri" ]) in
+  let* line = num (loc "region" @ [ "startLine" ]) in
+  let* col = num (loc "region" @ [ "startColumn" ]) in
+  let suppressed =
+    match Json.member "suppressions" r with
+    | Some (Json.Array (_ :: _)) -> true
+    | _ -> false
+  in
+  Ok ({ Finding.file; line; col = col - 1; rule; severity; message }, suppressed)
 
 let of_sarif s =
-  match tokenize s with
-  | exception Bad m -> Error m
-  | toks -> (
-      try
-        let doc, rest = parse_value toks in
-        if rest <> [] then raise (Bad "trailing tokens");
-        (match member "version" doc with
-        | Some (JStr "2.1.0") -> ()
-        | _ -> raise (Bad "not a SARIF 2.1.0 document"));
-        let run =
-          match member "runs" doc with
-          | Some (Arr (run :: _)) -> run
-          | _ -> raise (Bad "missing runs")
-        in
-        let results =
-          match member "results" run with
-          | Some (Arr rs) -> rs
-          | _ -> raise (Bad "missing results")
-        in
-        let finding r =
-          let str path = match path with Some (JStr s) -> s | _ -> raise (Bad "missing string") in
-          let rule = str (member "ruleId" r) in
-          let severity =
-            match Finding.severity_of_string (str (member "level" r)) with
-            | Some s -> s
-            | None -> raise (Bad "unknown level")
-          in
-          let message = str (member "message" r |> Option.map (member "text") |> Option.join) in
-          let phys =
-            match member "locations" r with
-            | Some (Arr (l :: _)) -> (
-                match member "physicalLocation" l with
-                | Some p -> p
-                | None -> raise (Bad "missing physicalLocation"))
-            | _ -> raise (Bad "missing locations")
-          in
-          let file =
-            str
-              (member "artifactLocation" phys
-              |> Option.map (member "uri")
-              |> Option.join)
-          in
-          let num path = match path with Some (JNum n) -> n | _ -> raise (Bad "missing number") in
-          let region =
-            match member "region" phys with
-            | Some rg -> rg
-            | None -> raise (Bad "missing region")
-          in
-          let suppressed =
-            match member "suppressions" r with
-            | Some (Arr (_ :: _)) -> true
-            | _ -> false
-          in
-          ( {
-              Finding.file;
-              line = num (member "startLine" region);
-              col = num (member "startColumn" region) - 1;
-              rule;
-              severity;
-              message;
-            },
-            suppressed )
-        in
-        let fs, ws =
-          List.fold_left
-            (fun (fs, ws) r ->
-              let f, suppressed = finding r in
-              if suppressed then (fs, f :: ws) else (f :: fs, ws))
-            ([], []) results
-        in
-        Ok (List.rev fs, List.rev ws)
-      with Bad m -> Error m)
+  let* doc = Json.of_string s in
+  let* () =
+    match Json.member "version" doc with
+    | Some (Json.String "2.1.0") -> Ok ()
+    | _ -> Error "not a SARIF 2.1.0 document"
+  in
+  let* results =
+    match path [ "runs"; "results" ] doc with
+    | Ok (Json.Array rs) -> Ok rs
+    | _ -> Error "missing results"
+  in
+  let* tagged = all_ok sarif_finding results in
+  let waived, findings = List.partition snd tagged in
+  Ok (List.map fst findings, List.map fst waived)

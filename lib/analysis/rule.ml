@@ -102,18 +102,17 @@ let all =
       explain =
         "Benchmark cells submitted to the work-stealing scheduler \n\
          (Scheduler.run_cells/run_thunks, Cell.make/of_thunk, \n\
-         Plan.cell/cell_list/costed_list/grouped/grouped_costed, \n\
-         Pool.run/map, Runners.pmap/pmap_grouped) execute on worker \n\
-         domains, and the select/observe callbacks assembled by \n\
-         Policy.make run on whichever worker domain owns the runtime \n\
-         that installs the policy. Any \n\
-         top-level ref, Hashtbl, Vec, Buffer or array they touch — \n\
-         directly or through a called function, which this rule resolves \n\
-         over the intra-library call graph — is shared across domains \n\
+         Plan.cell/cell_list/costed_list/grouped/grouped_costed) \n\
+         execute on worker domains, and the select/observe callbacks \n\
+         assembled by Policy.make run on whichever worker domain owns \n\
+         the runtime that installs the policy. Any top-level ref, \n\
+         Hashtbl, Vec, Buffer or array they touch — directly or through \n\
+         a called function, which this rule resolves over the \n\
+         intra-library call graph — is shared across domains \n\
          without synchronisation: a data race, and even when benign the \n\
          interleaving is nondeterministic. Confine mutable state to the \n\
          cell (create it inside the closure) and mutate shared structures \n\
-         only on the serial render path after the pool returns.";
+         only on the serial render path after the batch returns.";
     };
     {
       name = "escape-capture";
@@ -123,18 +122,18 @@ let all =
         "local mutable value captured by a closure handed to a worker domain";
       explain =
         "Closures passed to Cell.make/of_thunk, Plan.cell*, \n\
-         Scheduler.run_cells/run_thunks, Pool.run/map, Runners.pmap*, \n\
-         Policy.make (placement-policy callbacks run on the domain that \n\
-         owns the runtime — build each policy inside its cell), or \n\
-         Domain.spawn execute on worker domains. A captured local ref, \n\
-         array, Hashtbl, Buffer or record with mutable fields becomes \n\
-         cross-domain shared state with no synchronisation — the OCaml \n\
-         memory model makes the racing accesses themselves well-defined, \n\
-         but the values observed are not, and torn protocols (index \n\
-         published before payload) follow. Allocate the state inside the \n\
+         Scheduler.run_cells/run_thunks, Policy.make (placement-policy \n\
+         callbacks run on the domain that owns the runtime — build each \n\
+         policy inside its cell), or Domain.spawn execute on worker \n\
+         domains. A captured local ref, array, Hashtbl, Buffer or record \n\
+         with mutable fields becomes cross-domain shared state with no \n\
+         synchronisation — the OCaml memory model makes the racing \n\
+         accesses themselves well-defined, but the values observed are \n\
+         not, and torn protocols (index published before payload) \n\
+         follow. Allocate the state inside the \n\
          closure so it is domain-local, switch to Atomic.t (which the rule \n\
          recognises and never flags), or — when the sharing is by design, \n\
-         e.g. a single-writer result slot read only after the pool joins, \n\
+         e.g. a single-writer result slot read only after the batch joins, \n\
          or disjoint array indices per cell — bless the capture with \n\
          [@th.allow \"domain_shared <why it is safe>\"]. The justification \n\
          is mandatory: a bare \"domain_shared\" token waives nothing, and \n\
@@ -236,7 +235,7 @@ let all =
       family = Exception_flow;
       severity = Finding.Error;
       synopsis =
-        "a thunk handed to Cell/Plan/Scheduler/Pool can leak beyond \
+        "a thunk handed to Cell/Plan/Scheduler can leak beyond \
          Out_of_memory/Invalid_heap_state";
       explain =
         "The work-stealing scheduler captures a cell's exception, drains \n\
@@ -248,9 +247,9 @@ let all =
          and loses the per-cell outcome the benchmarks record. The rule \n\
          evaluates the raises summary of every closure handed to \n\
          Cell.make/of_thunk, Plan.cell*, Scheduler.run_cells/run_thunks, \n\
-         Pool.run/map, Runners.pmap*, Policy.make or Domain.spawn and \n\
-         flags each constructor outside the allowed pair. Handle the \n\
-         exception inside the cell and fold it into the result value \n\
+         Policy.make or Domain.spawn and flags each constructor outside \n\
+         the allowed pair. Handle the exception inside the cell and fold \n\
+         it into the result value \n\
          (Run_result's Degraded/Failed outcomes exist for this).";
     };
     {

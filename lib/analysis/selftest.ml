@@ -51,12 +51,14 @@ let cases =
       positive =
         "let total = ref 0\n\n\
          let bump n = total := !total + n\n\n\
-         let run pool xs =\n\
-        \  Th_exec.Pool.map pool (fun x -> bump x; total := !total + x; x) xs\n";
+         let run sched xs =\n\
+        \  Th_exec.Scheduler.run_thunks sched\n\
+        \    (List.map (fun x () -> bump x; total := !total + x; x) xs)\n";
       negative =
-        "let run pool xs =\n\
+        "let run sched xs =\n\
         \  let results =\n\
-        \    Th_exec.Pool.map pool (fun x -> let acc = ref 0 in acc := x; !acc) xs\n\
+        \    Th_exec.Scheduler.run_thunks sched\n\
+        \      (List.map (fun x () -> let acc = ref 0 in acc := x; !acc) xs)\n\
         \  in\n\
         \  let total = ref 0 in\n\
         \  List.iter (fun r -> total := !total + r) results;\n\
@@ -65,13 +67,15 @@ let cases =
     {
       rule = "escape-capture";
       positive =
-        "let run pool xs =\n\
+        "let run sched xs =\n\
         \  let acc = ref 0 in\n\
-        \  Th_exec.Pool.map pool (fun x -> acc := !acc + x; x) xs\n";
+        \  Th_exec.Scheduler.run_thunks sched\n\
+        \    (List.map (fun x () -> acc := !acc + x; x) xs)\n";
       negative =
-        "let run pool xs =\n\
+        "let run sched xs =\n\
         \  let hits = Atomic.make 0 [@th.atomic \"shared hit counter\"] in\n\
-        \  Th_exec.Pool.map pool (fun x -> Atomic.incr hits; x) xs\n";
+        \  Th_exec.Scheduler.run_thunks sched\n\
+        \    (List.map (fun x () -> Atomic.incr hits; x) xs)\n";
     };
     {
       rule = "atomic-missing-role";
@@ -145,16 +149,18 @@ let cases =
       positive =
         "exception Io_error of string\n\n\
          let risky () = raise (Io_error \"disk\") [@@th.raises \"Io_error\"]\n\n\
-         let run pool xs = Th_exec.Pool.map pool (fun x -> risky (); x) xs\n";
+         let run sched xs =\n\
+        \  Th_exec.Scheduler.run_thunks sched (List.map (fun x () -> risky (); x) xs)\n";
       negative =
         "exception Io_error of string\n\n\
          let risky () = raise (Io_error \"disk\") [@@th.raises \"Io_error\"]\n\n\
-         let run pool xs =\n\
-        \  Th_exec.Pool.map pool\n\
-        \    (fun x ->\n\
-        \      (try risky () with Io_error _ -> ());\n\
-        \      x)\n\
-        \    xs\n";
+         let run sched xs =\n\
+        \  Th_exec.Scheduler.run_thunks sched\n\
+        \    (List.map\n\
+        \       (fun x () ->\n\
+        \         (try risky () with Io_error _ -> ());\n\
+        \         x)\n\
+        \       xs)\n";
     };
     {
       rule = "pure-render";

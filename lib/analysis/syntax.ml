@@ -11,9 +11,10 @@ let flatten_lid lid =
      match a rule pattern, so map them to the empty path. *)
   match Longident.flatten lid with l -> l | exception _ -> []
 
-(* Last two components of a path: [Th_exec.Pool.map] and [Pool.map] both
-   resolve to [("Pool", "map")], which is how rules name stdlib and
-   intra-repo modules regardless of library wrapping. *)
+(* Last two components of a path: [Th_exec.Scheduler.run_thunks] and
+   [Scheduler.run_thunks] both resolve to [("Scheduler", "run_thunks")],
+   which is how rules name stdlib and intra-repo modules regardless of
+   library wrapping. *)
 let last2 path =
   match List.rev path with n :: m :: _ -> Some (m, n) | _ -> None
 

@@ -11,8 +11,8 @@ val flatten_lid : Longident.t -> string list
 (** [Longident.flatten] that maps functor applications to []. *)
 
 val last2 : string list -> (string * string) option
-(** Last two components of a path, e.g. [Th_exec.Pool.map] and
-    [Pool.map] both give [("Pool", "map")]. *)
+(** Last two components of a path, e.g. [Th_exec.Scheduler.run_thunks]
+    and [Scheduler.run_thunks] both give [("Scheduler", "run_thunks")]. *)
 
 val split_words : string -> string list
 (** Split on spaces, tabs, newlines and commas, dropping empties. *)

@@ -49,7 +49,8 @@ val run_cells : ?pin:(int -> int) -> ?chunk_max:int -> t -> 'a Cell.t list -> 'a
     [Invalid_argument] if outside [0, jobs). *)
 
 val run_thunks : t -> (unit -> 'a) list -> 'a list
-(** [run_cells] over {!Cell.of_thunk} — cost-blind compatibility path. *)
+(** [run_cells] over {!Cell.of_thunk}: every thunk planned at the
+    default cost. *)
 
 val last_batch : t -> batch_stats
 (** Stats of the most recent batch (zeros before the first). The stats

@@ -1,8 +1,9 @@
 (** Wall-clock perf tracker for the benchmark harness.
 
     Serialises per-section and total wall/CPU time plus the worker
-    count to a small JSON file ([BENCH_harness.json] by default) so
-    the harness's own performance trajectory accumulates per run/PR.
+    count to a small JSON file ([BENCH_harness.json] by default,
+    printed and parsed by {!Th_json.Json}) so the harness's own
+    performance trajectory accumulates per run.
 
     Schema 2: sections are stamped with the jobs count they ran at,
     their cell count, the summed per-cell wall time measured inside the
@@ -69,5 +70,7 @@ val merge : previous:section list -> section list -> section list
 
 val write : ?path:string -> t -> unit
 (** Merge this run's sections into the existing file (if any) and
-    rewrite it; top-level totals and speedups always describe this
-    run. *)
+    replace it atomically: the document is written to a temp file in
+    [path]'s directory and renamed over [path], so concurrent runs never
+    leave a torn file. Top-level totals and speedups always describe
+    this run. *)

@@ -1,85 +1,54 @@
+module Json = Th_json.Json
+
 let merge recorders = List.concat_map Recorder.events recorders
 
 (* ------------------------------------------------------------------ *)
 (* Chrome trace-event JSON                                             *)
 
-let escape_json b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
+let json_arg (k, v) =
+  ( k,
+    match v with
+    | Event.Int n -> Json.Number (string_of_int n)
+    | Event.Float x -> Json.Number (Printf.sprintf "%.3f" x)
+    | Event.Str s -> Json.String s )
 
-let add_json_arg b (k, v) =
-  Buffer.add_char b '"';
-  escape_json b k;
-  Buffer.add_string b "\":";
-  match v with
-  | Event.Int n -> Buffer.add_string b (string_of_int n)
-  | Event.Float x -> Buffer.add_string b (Printf.sprintf "%.3f" x)
-  | Event.Str s ->
-      Buffer.add_char b '"';
-      escape_json b s;
-      Buffer.add_char b '"'
+let us ns = Json.Number (Printf.sprintf "%.3f" (ns /. 1e3))
 
-let us ns = Printf.sprintf "%.3f" (ns /. 1e3)
-
-let add_chrome_event b (e : Event.t) =
-  let ph =
+let chrome_event (e : Event.t) =
+  let ph, extra =
     match e.Event.kind with
-    | Event.Span_begin -> "B"
-    | Event.Span_end -> "E"
-    | Event.Complete _ -> "X"
-    | Event.Instant -> "i"
-    | Event.Counter -> "C"
+    | Event.Span_begin -> ("B", [])
+    | Event.Span_end -> ("E", [])
+    | Event.Complete dur -> ("X", [ ("dur", us dur) ])
+    | Event.Instant -> ("i", [ ("s", Json.String "t") ])
+    | Event.Counter -> ("C", [])
   in
-  Buffer.add_string b "{\"name\":\"";
-  escape_json b e.Event.name;
-  Buffer.add_string b "\",\"cat\":\"";
-  escape_json b e.Event.cat;
-  Buffer.add_string b "\",\"ph\":\"";
-  Buffer.add_string b ph;
-  Buffer.add_string b "\",\"ts\":";
-  Buffer.add_string b (us e.Event.ts);
-  (match e.Event.kind with
-  | Event.Complete dur ->
-      Buffer.add_string b ",\"dur\":";
-      Buffer.add_string b (us dur)
-  | Event.Span_begin | Event.Span_end | Event.Instant | Event.Counter -> ());
-  (match e.Event.kind with
-  | Event.Instant -> Buffer.add_string b ",\"s\":\"t\""
-  | Event.Span_begin | Event.Span_end | Event.Complete _ | Event.Counter -> ());
-  Buffer.add_string b ",\"pid\":0,\"tid\":";
-  Buffer.add_string b (string_of_int e.Event.lane);
-  (match e.Event.args with
-  | [] -> ()
-  | args ->
-      Buffer.add_string b ",\"args\":{";
-      List.iteri
-        (fun i a ->
-          if i > 0 then Buffer.add_char b ',';
-          add_json_arg b a)
-        args;
-      Buffer.add_char b '}');
-  Buffer.add_char b '}'
+  let args =
+    match e.Event.args with
+    | [] -> []
+    | args -> [ ("args", Json.Object (List.map json_arg args)) ]
+  in
+  Json.Object
+    ([
+       ("name", Json.String e.Event.name);
+       ("cat", Json.String e.Event.cat);
+       ("ph", Json.String ph);
+       ("ts", us e.Event.ts);
+     ]
+    @ extra
+    @ [
+        ("pid", Json.Number "0");
+        ("tid", Json.Number (string_of_int e.Event.lane));
+      ]
+    @ args)
 
 let to_chrome_json events =
-  let b = Buffer.create 65536 in
-  Buffer.add_string b "{\"traceEvents\":[\n";
-  List.iteri
-    (fun i e ->
-      if i > 0 then Buffer.add_string b ",\n";
-      add_chrome_event b e)
-    events;
-  Buffer.add_string b "\n],\"displayTimeUnit\":\"ms\"}\n";
-  Buffer.contents b
+  Json.to_string
+    (Json.Object
+       [
+         ("traceEvents", Json.Array (List.map chrome_event events));
+         ("displayTimeUnit", Json.String "ms");
+       ])
 
 (* ------------------------------------------------------------------ *)
 (* Compact deterministic text                                          *)

@@ -2,4 +2,5 @@ exception Io_error of string
 
 let risky () = raise (Io_error "disk") [@@th.raises "Io_error"]
 
-let run pool xs = Th_exec.Pool.map pool (fun x -> risky (); x) xs
+let run sched xs =
+  Th_exec.Scheduler.run_thunks sched (List.map (fun x () -> risky (); x) xs)

@@ -1,3 +1,4 @@
-let run pool xs =
+let run sched xs =
   let hits = Atomic.make 0 [@th.atomic "shared hit counter"] in
-  Th_exec.Pool.map pool (fun x -> Atomic.incr hits; x) xs
+  Th_exec.Scheduler.run_thunks sched
+    (List.map (fun x () -> Atomic.incr hits; x) xs)

@@ -1,3 +1,4 @@
-let run pool xs =
+let run sched xs =
   let acc = ref 0 in
-  Th_exec.Pool.map pool (fun x -> acc := !acc + x; x) xs
+  Th_exec.Scheduler.run_thunks sched
+    (List.map (fun x () -> acc := !acc + x; x) xs)

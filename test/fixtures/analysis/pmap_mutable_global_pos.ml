@@ -2,5 +2,6 @@ let total = ref 0
 
 let bump n = total := !total + n
 
-let run pool xs =
-  Th_exec.Pool.map pool (fun x -> bump x; total := !total + x; x) xs
+let run sched xs =
+  Th_exec.Scheduler.run_thunks sched
+    (List.map (fun x () -> bump x; total := !total + x; x) xs)

@@ -82,7 +82,7 @@ let test_registry_covered () =
 
 (* ------------------------------------------------------------------ *)
 (* Acceptance: the domain-safety rule flags a global mutated from a    *)
-(* Pool.pmap cell, and names the offending global                      *)
+(* scheduler cell, and names the offending global                      *)
 
 let test_pmap_acceptance () =
   let r =
@@ -95,7 +95,7 @@ let test_pmap_acceptance () =
   with
   | [] -> Alcotest.fail "no pmap-mutable-global finding on the mutation fixture"
   | fs ->
-      (* The closure passed to Pool.map both calls [bump] (transitive
+      (* The cell thunk both calls [bump] (transitive
          mutation) and assigns [total] directly; the finding must point
          at the global by name so the report is actionable. *)
       if
@@ -134,9 +134,12 @@ let test_cross_library_two_hop () =
       "module Recorder = struct\n\
       \  let note k = String.length k\n\
        end\n\
-       let tainted pool xs =\n\
-      \  Th_exec.Pool.map pool (fun x -> Th_metrics.Recorder.note x) xs\n\
-       let clean pool xs = Th_exec.Pool.map pool (fun x -> Recorder.note x) xs\n"
+       let tainted sched xs =\n\
+      \  Th_exec.Scheduler.run_thunks sched\n\
+      \    (List.map (fun x () -> Th_metrics.Recorder.note x) xs)\n\
+       let clean sched xs =\n\
+      \  Th_exec.Scheduler.run_thunks sched\n\
+      \    (List.map (fun x () -> Recorder.note x) xs)\n"
   in
   let r = Engine.analyze [ metrics; bench ] in
   let pmap =
@@ -266,6 +269,31 @@ let prop_json_roundtrip =
       match Report.of_json (Report.to_json ~waived findings) with
       | Ok (fs, ws) -> fs = findings && ws = waived
       | Error m -> QCheck.Test.fail_reportf "of_json failed: %s" m)
+
+let test_json_rejects () =
+  let finding extra =
+    Printf.sprintf
+      {|{"version":1,"findings":[{"file":"a.ml","line":1,"severity":%s}],"waived":[]}|}
+      extra
+  in
+  List.iter
+    (fun (what, doc) ->
+      match Report.of_json doc with
+      | Ok _ -> Alcotest.failf "%s accepted: %s" what doc
+      | Error _ -> ())
+    [
+      ("unknown version", {|{"version":2,"findings":[],"waived":[]}|});
+      ("unknown severity", finding {|"fatal"|});
+      ("unknown field", finding {|"error","owner":"x"|});
+      ("non-integer line", finding {|"error","col":1.5|});
+      ("malformed JSON", {|{"version":1,"findings":[|});
+    ];
+  match Report.of_json (finding {|"warning"|}) with
+  | Ok ([ f ], []) ->
+      Alcotest.(check string) "severity parsed" "warning"
+        (Finding.severity_to_string f.Finding.severity)
+  | Ok _ -> Alcotest.fail "wrong shape"
+  | Error e -> Alcotest.failf "well-formed report rejected: %s" e
 
 (* ------------------------------------------------------------------ *)
 (* SARIF                                                               *)
@@ -497,6 +525,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_waived_never_reported;
     QCheck_alcotest.to_alcotest prop_domain_shared_diverts;
     QCheck_alcotest.to_alcotest prop_json_roundtrip;
+    Alcotest.test_case "JSON report rejects schema violations" `Quick
+      test_json_rejects;
     QCheck_alcotest.to_alcotest prop_sarif_roundtrip;
     Alcotest.test_case "SARIF document shape" `Quick test_sarif_shape;
     Alcotest.test_case "seeded regression: unguarded block manager rejected"

@@ -20,6 +20,7 @@ let () =
       ("spark", Test_spark.suite);
       ("giraph", Test_giraph.suite);
       ("metrics", Test_metrics.suite);
+      ("json", Test_json.suite);
       ("faults", Test_faults.suite);
       ("resilience", Test_resilience.suite);
       ("streaming", Test_streaming.suite);

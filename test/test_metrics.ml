@@ -112,7 +112,16 @@ let test_bench_log_merge_update () =
         [ "fig7"; "soak"; "fig8" ] (names merged);
       let soak = List.nth merged 1 in
       Alcotest.(check (float 1e-6))
-        "re-run section updated in place" 5.0 soak.Bench_log.cell_wall_s)
+        "re-run section updated in place" 5.0 soak.Bench_log.cell_wall_s;
+      (* [write] renames a temp sibling over the target; none may stay. *)
+      let base = Filename.basename path in
+      let strays =
+        List.filter
+          (fun f ->
+            (not (String.equal f base)) && String.starts_with ~prefix:base f)
+          (Array.to_list (Sys.readdir (Filename.dirname path)))
+      in
+      Alcotest.(check (list string)) "no temp sibling left behind" [] strays)
 
 let test_bench_log_v1_compat () =
   with_tmp_json (fun path ->
