@@ -6,7 +6,7 @@
    Every section declares a plan: independent experiment cells plus a
    pure render that consumes results in submission order. The harness
    concatenates the cells of all requested sections into ONE global
-   batch for the work-stealing scheduler (`--jobs N` / `-j N` selects
+   batch for the shared-cursor scheduler (`--jobs N` / `-j N` selects
    the domain count, defaulting to the machine's recommended count),
    then runs the renders serially in request order — so stdout is
    byte-identical for every jobs value. Timing goes to stderr, and a
@@ -154,53 +154,46 @@ let () =
   | Some s -> Runners.giraph_seed := Some (Int64.of_int s)
   | None -> ());
   let sched = Scheduler.create ~jobs () in
-  Runners.set_pool sched;
   let wall0 = Wall.now_s () in
   let cpu0 = Sys.time () in
-  let log =
-    Fun.protect
-      ~finally:(fun () -> Scheduler.shutdown sched)
-      (fun () ->
-        (* Build every requested plan first, then submit the cells of
-           all sections as one global batch: the scheduler sees the
-           whole cell population at once instead of 2–4 cells per
-           section. *)
-        let plans = List.map (fun (n, d, mk) -> (n, d, mk ())) selected in
-        let batch = List.concat_map (fun (_, _, s) -> Plan.cells s) plans in
-        ignore (Scheduler.run_cells sched batch);
-        let stats = Scheduler.last_batch sched in
-        (* Renders run serially in request order; each reads only its
-           own section's futures. *)
-        let offset = ref 0 in
-        let timed =
-          List.map
-            (fun (n, d, s) ->
-              let count = List.length (Plan.cells s) in
-              let cell_wall_s =
-                sum_slice stats.Scheduler.cell_wall_s ~offset:!offset ~count
-              in
-              offset := !offset + count;
-              Printf.printf "\n##### %s — %s #####\n%!" n d;
-              let r0 = Wall.now_s () in
-              Plan.render s;
-              {
-                Bench_log.name = n;
-                jobs;
-                cells = count;
-                cell_wall_s;
-                render_wall_s = Wall.elapsed_s ~since:r0;
-              })
-            plans
+  (* Build every requested plan first, then submit the cells of all
+     sections as one global batch: the scheduler sees the whole cell
+     population at once instead of 2–4 cells per section. *)
+  let plans = List.map (fun (n, d, mk) -> (n, d, mk ())) selected in
+  let batch = List.concat_map (fun (_, _, s) -> Plan.cells s) plans in
+  ignore (Scheduler.run_cells sched batch);
+  let stats = Scheduler.last_batch sched in
+  (* Renders run serially in request order; each reads only its own
+     section's futures. *)
+  let offset = ref 0 in
+  let timed =
+    List.map
+      (fun (n, d, s) ->
+        let count = List.length (Plan.cells s) in
+        let cell_wall_s =
+          sum_slice stats.Scheduler.cell_wall_s ~offset:!offset ~count
         in
-        ( {
-            Bench_log.jobs;
-            sections = timed;
-            total_wall_s = Wall.elapsed_s ~since:wall0;
-            total_cpu_s = Sys.time () -. cpu0;
-          },
-          stats ))
+        offset := !offset + count;
+        Printf.printf "\n##### %s — %s #####\n%!" n d;
+        let r0 = Wall.now_s () in
+        Plan.render s;
+        {
+          Bench_log.name = n;
+          jobs;
+          cells = count;
+          cell_wall_s;
+          render_wall_s = Wall.elapsed_s ~since:r0;
+        })
+      plans
   in
-  let log, stats = log in
+  let log =
+    {
+      Bench_log.jobs;
+      sections = timed;
+      total_wall_s = Wall.elapsed_s ~since:wall0;
+      total_cpu_s = Sys.time () -. cpu0;
+    }
+  in
   let json_path =
     match Sys.getenv_opt "TH_BENCH_JSON" with
     | Some p -> p
@@ -215,10 +208,8 @@ let () =
   Printf.eprintf
     "\n\
      (benchmarks completed in %.1f s wall / %.1f s cpu, jobs=%d, measured \
-     speedup %.2fx vs serial (est %.2fx); %d cells in %d chunks, %d steals; \
-     %s)\n"
+     speedup %.2fx vs serial (est %.2fx); %d cells; %s)\n"
     log.Bench_log.total_wall_s log.Bench_log.total_cpu_s jobs
     (Bench_log.speedup_vs_serial_measured log)
     (Bench_log.speedup_vs_serial_est log)
-    stats.Scheduler.cells stats.Scheduler.chunks stats.Scheduler.steals
-    json_path
+    stats.Scheduler.cells json_path

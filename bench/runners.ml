@@ -14,20 +14,7 @@ module Gc_stats = Th_psgc.Gc_stats
 module H2 = Th_core.H2
 module Device = Th_device.Device
 
-module Scheduler = Th_exec.Scheduler
 module Plan = Th_exec.Plan
-
-(* The harness's work-stealing scheduler, installed once by [Main] (or
-   left unset by other entry points, in which case everything runs
-   serially in-place). Every experiment cell builds its own
-   clock/heap/device stack inside its thunk, so cells are independent
-   jobs; results come back in submission order, keeping all printing
-   serial and deterministic. *)
-let pool : Scheduler.t option ref = ref None
-
-let set_pool p = pool := Some p
-
-let jobs () = match !pool with Some p -> Scheduler.jobs p | None -> 1
 
 (* Deterministic base seed for the randomized (Giraph) drivers; settable
    via --seed. [None] keeps each driver's built-in default. *)

@@ -8,7 +8,6 @@
      --self-test          run the analyzer over its embedded fixtures
      --dump-fixtures DIR  write the embedded fixtures as files into DIR
      --callgraph-dump     print the cross-library call graph and exit
-     --interleave [full]  run the bounded-interleaving deque checker
      -o FILE              write the report to FILE instead of stdout
      paths                files or directories (default: lib bin bench)
 
@@ -25,8 +24,7 @@ let usage () =
   prerr_endline
     "usage: lint.exe [--format text|json|sarif] [--rules r1,r2] [--explain \
      RULE]\n\
-    \       [--list-rules] [--self-test] [--callgraph-dump] [--interleave \
-     [full]]\n\
+    \       [--list-rules] [--self-test] [--callgraph-dump]\n\
     \       [-o FILE] [paths...]";
   exit 2
 
@@ -81,40 +79,6 @@ let dump_fixtures dir =
         [ (`Pos, c.positive); (`Neg, c.negative) ])
     Th_analysis.Selftest.cases;
   exit 0
-
-(* Exhaustive schedule enumeration over the deque's owner/thief
-   protocol, plus the sanity leg: the harness must reject a variant
-   whose steal skips the CAS. *)
-let interleave ~full =
-  let failed = ref false in
-  let show tag (r : Th_analysis.Deque_check.report) =
-    Printf.printf "interleave %s %-22s %7d schedule(s), %3d outcome(s)%s\n" tag
-      r.config r.schedules r.distinct
-      (if r.violations = [] then "" else ", VIOLATIONS:");
-    List.iter (fun v -> Printf.printf "  not linearizable: %s\n" v) r.violations
-  in
-  List.iter
-    (fun r ->
-      show "deque" r;
-      if r.Th_analysis.Deque_check.violations <> [] then failed := true)
-    (Th_analysis.Deque_check.check ~full ());
-  let buggy = Th_analysis.Deque_check.check_buggy () in
-  List.iter (show "buggy") buggy;
-  if
-    not
-      (List.exists
-         (fun (r : Th_analysis.Deque_check.report) -> r.violations <> [])
-         buggy)
-  then begin
-    Printf.printf
-      "interleave: FAILED — the harness accepted the seeded-bug deque\n";
-    failed := true
-  end;
-  if !failed then exit 1
-  else begin
-    Printf.printf "interleave: deque linearizable, seeded bug rejected\n";
-    exit 0
-  end
 
 let callgraph_dump paths =
   let files =
@@ -173,8 +137,6 @@ let () =
     | [ "--explain" ] -> usage ()
     | "--list-rules" :: _ -> list_rules ()
     | "--self-test" :: _ -> self_test ()
-    | "--interleave" :: "full" :: _ -> interleave ~full:true
-    | "--interleave" :: _ -> interleave ~full:false
     | "--callgraph-dump" :: rest ->
         callgraph_dump (match rest with [] -> default_paths | ps -> ps)
     | "--dump-fixtures" :: dir :: _ -> dump_fixtures dir

@@ -356,7 +356,7 @@ let cost_hint fw name dram =
   | `Streaming -> Th_exec.Cell.default_cost
 
 (* Split the WORKLOAD argument on commas, run every cell on the
-   work-stealing scheduler, then print the results serially in argument
+   shared-cursor scheduler, then print the results serially in argument
    order. *)
 let run_all fw workloads sys thr dram faults jobs verify trace trace_format
     slo soak =
@@ -387,8 +387,7 @@ let run_all fw workloads sys thr dram faults jobs verify trace trace_format
         let jobs =
           if jobs > 0 then jobs else Th_exec.Scheduler.default_jobs ()
         in
-        Th_exec.Scheduler.with_scheduler ~jobs (fun sched ->
-            Th_exec.Scheduler.run_cells sched cells)
+        Th_exec.Scheduler.run_cells (Th_exec.Scheduler.create ~jobs ()) cells
   in
   List.iter (fun (r, _) -> print_result r) results;
   (match trace with

@@ -1,12 +1,11 @@
 (* Atomic-protocol checker: a per-module protocol analysis over
    Atomic.t usage.
 
-   The hand-rolled atomics in lib/exec (the Chase-Lev deque, the
-   scheduler's batch counters) follow publication protocols that the
-   type system cannot see: the deque's [top] index must only move
-   forward via CAS once thieves are active, the scheduler's counters
-   are only [Atomic.set] while workers are quiesced. This pass makes
-   those protocols checkable:
+   The atomics in lib/exec (the scheduler's claim cursor, the plan's
+   write-once result slots) follow protocols that the type system
+   cannot see: the cursor only moves via fetch_and_add, a slot is
+   written once by the domain that ran its cell. This pass makes such
+   protocols checkable:
 
    - every Atomic.t declaration (record field of type [_ Atomic.t], or
      top-level [let x = Atomic.make _]) must carry a role annotation
@@ -30,8 +29,8 @@
    anywhere in a module is the location [".top"], a bare identifier is
    its name. Functor-parameter atomics are recognised by usage: any
    module prefix that performs a CAS-class operation somewhere in the
-   file (e.g. the [A] of [Deque.Make (A : Atomic_intf.S)]) is treated
-   as an atomics module alongside [Atomic] itself. *)
+   file (e.g. the [A] of a [Make (A : ATOMIC)] functor) is treated as
+   an atomics module alongside [Atomic] itself. *)
 
 open Parsetree
 module SS = Syntax.SS
@@ -340,16 +339,8 @@ let decls ~mods str =
 
 (* ------------------------------------------------------------------ *)
 (* Scopes: the file's top level plus every nested module/functor body. *)
-(* Location identity is per scope, so [Deque.Make]'s [.top] and a      *)
-(* sibling module's [.top] never merge. A functor parameter whose      *)
-(* module type names [Atomic_intf] is an atomics module inside that    *)
-(* body even if the body never CASes (the broken-variant case).        *)
-
-let mty_is_atomics (mty : module_type) =
-  match mty.pmty_desc with
-  | Pmty_ident { txt; _ } ->
-      List.exists (String.equal "Atomic_intf") (Syntax.flatten_lid txt)
-  | _ -> false
+(* Location identity is per scope, so one module's [.top] and a        *)
+(* sibling module's [.top] never merge.                                *)
 
 let file_attr_allows items =
   List.concat_map
@@ -359,44 +350,35 @@ let file_attr_allows items =
       | _ -> [])
     items
 
-let rec scopes ~extra_mods ~inherited items =
+let rec scopes ~inherited items =
   let here_allows = inherited @ file_attr_allows items in
-  (extra_mods, here_allows, items)
+  (here_allows, items)
   :: List.concat_map
        (fun item ->
          match item.pstr_desc with
-         | Pstr_module mb ->
-             mod_scopes ~extra_mods ~inherited:here_allows mb.pmb_expr
+         | Pstr_module mb -> mod_scopes ~inherited:here_allows mb.pmb_expr
          | Pstr_recmodule mbs ->
              List.concat_map
-               (fun mb ->
-                 mod_scopes ~extra_mods ~inherited:here_allows mb.pmb_expr)
+               (fun mb -> mod_scopes ~inherited:here_allows mb.pmb_expr)
                mbs
          | _ -> [])
        items
 
-and mod_scopes ~extra_mods ~inherited me =
+and mod_scopes ~inherited me =
   match me.pmod_desc with
-  | Pmod_structure s -> scopes ~extra_mods ~inherited s
-  | Pmod_functor (param, body) ->
-      let extra_mods =
-        match param with
-        | Named ({ txt = Some a; _ }, mty) when mty_is_atomics mty ->
-            SS.add a extra_mods
-        | _ -> extra_mods
-      in
-      mod_scopes ~extra_mods ~inherited body
-  | Pmod_constraint (me, _) -> mod_scopes ~extra_mods ~inherited me
+  | Pmod_structure s -> scopes ~inherited s
+  | Pmod_functor (_, body) -> mod_scopes ~inherited body
+  | Pmod_constraint (me, _) -> mod_scopes ~inherited me
   | _ -> []
 
 let roles str =
   List.concat_map
-    (fun (extra_mods, _, items) ->
-      let mods = SS.union extra_mods (atomic_modules items) in
+    (fun (_, items) ->
+      let mods = atomic_modules items in
       List.filter_map
         (fun d -> Option.map (fun r -> (d.decl_name, r)) d.decl_role)
         (decls ~mods items))
-    (scopes ~extra_mods:SS.empty ~inherited:[] str)
+    (scopes ~inherited:[] str)
 
 (* ------------------------------------------------------------------ *)
 (* Whole-module analysis                                               *)
@@ -461,7 +443,7 @@ let analyze_scope ~mods ~file_allows items =
              "plain Atomic.set on %S%s, which is elsewhere updated by \
               CAS-class operations; a plain store can overwrite a concurrent \
               RMW — use compare_and_set, or waive with the protocol phase \
-              that makes the store safe (e.g. workers quiesced)"
+              that makes the store safe (e.g. no other domain running yet)"
              o.locid (role_of o.locid))
           o.op_allows)
     all_ops;
@@ -506,7 +488,6 @@ let analyze_scope ~mods ~file_allows items =
 
 let analyze str =
   List.concat_map
-    (fun (extra_mods, file_allows, items) ->
-      let mods = SS.union extra_mods (atomic_modules items) in
-      analyze_scope ~mods ~file_allows items)
-    (scopes ~extra_mods:SS.empty ~inherited:[] str)
+    (fun (file_allows, items) ->
+      analyze_scope ~mods:(atomic_modules items) ~file_allows items)
+    (scopes ~inherited:[] str)

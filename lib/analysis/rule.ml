@@ -100,7 +100,7 @@ let all =
         "mutable top-level state reachable from a closure run on a worker \
          domain";
       explain =
-        "Benchmark cells submitted to the work-stealing scheduler \n\
+        "Benchmark cells submitted to the scheduler \n\
          (Scheduler.run_cells/run_thunks, Cell.make/of_thunk, \n\
          Plan.cell/cell_list/costed_list/grouped/grouped_costed) \n\
          execute on worker domains, and the select/observe callbacks \n\
@@ -146,14 +146,15 @@ let all =
       synopsis = "Atomic.t declaration without a [@th.atomic \"role\"] annotation";
       explain =
         "Every Atomic.t in this codebase participates in a protocol the \n\
-         type system cannot express: the deque's top is stolen via CAS, \n\
-         the scheduler's remaining counter is only Atomic.set while \n\
-         workers are quiesced. The [@th.atomic \"...\"] annotation states \n\
-         that protocol next to the declaration — who writes the location, \n\
-         through which primitives, in which phase — so the atomic-protocol \n\
-         rules can cite it in findings and --explain can surface it. \n\
+         type system cannot express: the scheduler's claim cursor only \n\
+         moves by fetch_and_add, a plan's result slot is written once by \n\
+         the domain that ran its cell. The [@th.atomic \"...\"] \n\
+         annotation states that protocol next to the declaration — who \n\
+         writes the location, through which primitives, in which phase — \n\
+         so the atomic-protocol rules can cite it in findings and \n\
+         --explain can surface it. \n\
          Annotate record fields as \n\
-         [top : int Atomic.t [@th.atomic \"top pointer, stolen via CAS\"]] \n\
+         [next : int Atomic.t [@th.atomic \"claimed via fetch_and_add\"]] \n\
          and top-level bindings as \n\
          [let hits = Atomic.make 0 [@th.atomic \"shared hit counter\"]].";
     };
@@ -168,9 +169,9 @@ let all =
          Atomic.set to it can overwrite a concurrent RMW that already \n\
          succeeded — the lost-update race. Reach the new value through \n\
          compare_and_set (retrying from a fresh read), or, when the store \n\
-         is protocol-safe because no rival can be running (e.g. the \n\
-         scheduler resets counters while every worker is quiesced at the \n\
-         epoch barrier), waive the site stating that phase argument.";
+         is protocol-safe because no rival can be running (e.g. a reset \n\
+         made before any other domain is spawned or after all are \n\
+         joined), waive the site stating that phase argument.";
     };
     {
       name = "atomic-plain-read";
@@ -186,8 +187,7 @@ let all =
          acting on a snapshot that may be stale before the next \n\
          instruction. Either feed the read into a compare_and_set, or \n\
          waive the site stating why staleness is acceptable (monitoring \n\
-         counters, size hints like Deque.size that are advisory by \n\
-         contract).";
+         counters and other values that are advisory by contract).";
     };
     {
       name = "atomic-check-then-act";
@@ -238,7 +238,7 @@ let all =
         "a thunk handed to Cell/Plan/Scheduler can leak beyond \
          Out_of_memory/Invalid_heap_state";
       explain =
-        "The work-stealing scheduler captures a cell's exception, drains \n\
+        "The scheduler captures a cell's exception, drains \n\
          the batch, and re-raises the first failure on the submitting \n\
          domain — a protocol documented for Out_of_memory and \n\
          Invalid_heap_state only. Any other exception crossing the cell \n\

@@ -1,12 +1,11 @@
-(** Work-stealing Domain scheduler for experiment-cell batches.
+(** Shared-cursor Domain pool for experiment-cell batches.
 
-    [jobs - 1] worker domains plus the submitting domain execute a
-    batch of independent {!Cell.t}s. At submission the batch is planned
-    longest-expected-first from the cells' cost hints, packed into
-    chunks (cheap cells share a chunk, expensive cells go alone) and
-    dealt LPT-greedily onto per-domain Chase-Lev-style deques
-    ({!Deque}); an idle domain scans the other domains in ring order
-    and steals from the top of the first non-empty deque.
+    A batch of independent {!Cell.t}s runs longest-expected-first: the
+    cells are ordered by descending cost hint (ties keep submission
+    order), and every participating domain — the submitting one
+    included — claims the next cell of that order from one atomic
+    cursor until none is left. Domains are spawned per batch and joined
+    before it returns.
 
     Results always come back in submission order, so anything rendered
     from them serially is byte-identical for every jobs value; only the
@@ -16,50 +15,33 @@ type t
 
 type batch_stats = {
   cells : int;
-  chunks : int;  (** placement/steal units the batch was packed into *)
-  steals : int;  (** chunks executed by a domain they were not dealt to *)
-  steal_scans : int;  (** idle victim-scan sweeps, successful or not *)
   cell_wall_s : float array;
       (** per-cell wall seconds, submission order: the serial-equivalent
           cost of the batch is the sum of this array *)
 }
 
-val create : ?oversubscribe:int -> jobs:int -> unit -> t
-(** [create ~jobs ()] spawns [jobs - 1] worker domains ([jobs = 1]
-    spawns none and {!run_cells} degenerates to an in-order loop).
-    [oversubscribe] (default 4) sets the chunking target of
-    [oversubscribe * jobs] chunks per batch when all cells are cheap.
+val create : jobs:int -> unit -> t
+(** [create ~jobs ()] makes a pool that runs each batch on up to [jobs]
+    domains: the caller plus [min (jobs - 1) (cells - 1)] domains
+    spawned for that batch. [jobs = 1] runs every batch in the calling
+    domain. No domain outlives a batch, so a pool needs no shutdown.
     Raises [Invalid_argument] when [jobs < 1]. *)
-
-val jobs : t -> int
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()]. *)
 
-val run_cells : ?pin:(int -> int) -> ?chunk_max:int -> t -> 'a Cell.t list -> 'a list
-(** [run_cells t cells] executes the batch and returns results in
-    submission order. An exception raised by a cell is re-raised here,
-    with its backtrace, after the whole batch has drained (the first
-    failing cell in submission order wins). Must be called from the
-    domain that created [t]; batches do not nest.
-
-    [chunk_max] caps the number of cells per chunk (default 16).
-    [pin] overrides the LPT deal for tests: it maps a chunk index (in
-    descending-cost order) to the domain the chunk is seeded on —
-    [Invalid_argument] if outside [0, jobs). *)
+val run_cells : t -> 'a Cell.t list -> 'a list
+(** [run_cells t cells] executes the batch longest-cost-first (ties in
+    submission order) and returns results in submission order. An
+    exception raised by a cell does not stop the others; it is
+    re-raised here, with its backtrace, after the whole batch has
+    drained (the first failing cell in submission order wins). Batches
+    do not nest. *)
 
 val run_thunks : t -> (unit -> 'a) list -> 'a list
-(** [run_cells] over {!Cell.of_thunk}: every thunk planned at the
-    default cost. *)
+(** [run_cells] over {!Cell.of_thunk}: every thunk at the default cost. *)
 
 val last_batch : t -> batch_stats
 (** Stats of the most recent batch (zeros before the first). The stats
     are scheduling-dependent: report them to stderr or JSON, never to
     the deterministic stdout. *)
-
-val shutdown : t -> unit
-(** Signal the workers to exit and join them. Required before process
-    exit (the OCaml runtime waits for unjoined domains); idempotent. *)
-
-val with_scheduler : jobs:int -> (t -> 'a) -> 'a
-(** [with_scheduler ~jobs f] runs [f] and shuts down on any exit. *)

@@ -42,8 +42,8 @@ let serial_equiv_s t =
 
 (* Measured speedup: serial-equivalent over actual wall. Unlike the
    cpu/wall estimate below, both terms are monotonic-clock measurements
-   of this very run, so scheduler idle time and steal overhead show up
-   honestly. *)
+   of this very run, so scheduler idle time and domain spawn overhead
+   show up honestly. *)
 let speedup_vs_serial_measured t =
   if t.total_wall_s > 0.0 then serial_equiv_s t /. t.total_wall_s else 1.0
 

@@ -236,7 +236,7 @@ let attach ?(config = default_config) ?slo rt =
   t.last_watchdogs <- fs.Fault.watchdog_timeouts;
   t.last_cycles <- Gc_stats.cycle_count (Runtime.stats rt);
   (* Chain, don't clobber: the Th_verify sanitizer may already own the
-     hook. Attach the monitor after the verifier. *)
+     hook. *)
   let prev_hook = rt.Rt.safepoint_hook in
   rt.Rt.safepoint_hook <-
     Some

@@ -17,11 +17,8 @@
     trace instants), then folds the whole pause history into a
     {!Slo.report} in the final {!summary}.
 
-    Attach order matters: the monitor chains onto the current
-    [safepoint_hook], so attach it {e after} {!Th_verify.Verify.attach}
-    (which overwrites the hook). All sampling happens at safepoints and
-    uses only simulated time — the monitor is as deterministic as the
-    run it watches. *)
+    All sampling happens at safepoints and uses only simulated time —
+    the monitor is as deterministic as the run it watches. *)
 
 module Runtime := Th_psgc.Runtime
 

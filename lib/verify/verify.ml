@@ -498,7 +498,14 @@ let check_now t = run_checks t Manual
 let attach rt level =
   let t = { rt; level; violations = Vec.create (); last = None } in
   if level <> Off then begin
-    rt.Rt.safepoint_hook <- Some (fun p -> run_checks t (phase_of_safepoint p));
+    (* Chain, don't clobber: another observer (the health monitor) may
+       already own the hook. *)
+    let prev_hook = rt.Rt.safepoint_hook in
+    rt.Rt.safepoint_hook <-
+      Some
+        (fun p ->
+          (match prev_hook with Some f -> f p | None -> ());
+          run_checks t (phase_of_safepoint p));
     match rt.Rt.h2 with
     | None -> ()
     | Some h2 ->

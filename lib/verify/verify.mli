@@ -72,7 +72,8 @@ type violation = {
 type t
 
 val attach : Th_psgc.Runtime.t -> level -> t
-(** Install the sanitizer on a runtime: hooks the GC safepoints and, when
+(** Install the sanitizer on a runtime: hooks the GC safepoints (after
+    any safepoint hook already installed, which keeps running) and, when
     an H2 is present, the H2 card table's transition recorder. With
     [Off], installs nothing and never checks. The same verifier instance
     accumulates violations for the whole run. *)

@@ -1,4 +1,4 @@
-(* Tests of the work-stealing executor and of the harness determinism
+(* Tests of the shared-cursor executor and of the harness determinism
    contract: scheduled execution returns results in submission order, so
    rendering (and therefore CSV/report output) is byte-identical to a
    serial run. *)
@@ -6,7 +6,6 @@
 module Scheduler = Th_exec.Scheduler
 module Cell = Th_exec.Cell
 module Plan = Th_exec.Plan
-module Deque = Th_exec.Deque
 module Wall = Th_exec.Wall
 module Csv = Th_metrics.Csv
 module Setups = Th_baselines.Setups
@@ -15,44 +14,44 @@ module Giraph_driver = Th_workloads.Giraph_driver
 module Run_result = Th_workloads.Run_result
 
 let test_results_in_submission_order () =
-  Scheduler.with_scheduler ~jobs:4 (fun sched ->
-      let thunks =
-        List.init 32 (fun i () ->
-            (* Stagger so later submissions tend to finish first. *)
-            if i mod 4 = 0 then Unix.sleepf 0.002;
-            i * i)
-      in
-      let results = Scheduler.run_thunks sched thunks in
-      Alcotest.(check (list int))
-        "squares in order"
-        (List.init 32 (fun i -> i * i))
-        results)
+  let sched = Scheduler.create ~jobs:4 () in
+  let thunks =
+    List.init 32 (fun i () ->
+        (* Stagger so later submissions tend to finish first. *)
+        if i mod 4 = 0 then Unix.sleepf 0.002;
+        i * i)
+  in
+  let results = Scheduler.run_thunks sched thunks in
+  Alcotest.(check (list int))
+    "squares in order"
+    (List.init 32 (fun i -> i * i))
+    results
 
 let test_exception_propagates () =
-  Scheduler.with_scheduler ~jobs:4 (fun sched ->
-      Alcotest.check_raises "thunk exception re-raised" (Failure "boom")
-        (fun () ->
-          ignore
-            (Scheduler.run_thunks sched
-               [ (fun () -> 1); (fun () -> failwith "boom"); (fun () -> 3) ]));
-      (* The scheduler survives a failing batch. *)
-      Alcotest.(check (list int))
-        "scheduler reusable after failure" [ 7 ]
-        (Scheduler.run_thunks sched [ (fun () -> 7) ]))
+  let sched = Scheduler.create ~jobs:4 () in
+  Alcotest.check_raises "thunk exception re-raised" (Failure "boom")
+    (fun () ->
+      ignore
+        (Scheduler.run_thunks sched
+           [ (fun () -> 1); (fun () -> failwith "boom"); (fun () -> 3) ]));
+  (* The scheduler survives a failing batch. *)
+  Alcotest.(check (list int))
+    "scheduler reusable after failure" [ 7 ]
+    (Scheduler.run_thunks sched [ (fun () -> 7) ])
 
 let test_serial_scheduler () =
-  Scheduler.with_scheduler ~jobs:1 (fun sched ->
-      Alcotest.(check (list int))
-        "jobs=1 runs in the calling domain" [ 1; 2; 3 ]
-        (Scheduler.run_thunks sched
-           [ (fun () -> 1); (fun () -> 2); (fun () -> 3) ]))
+  Alcotest.(check (list int))
+    "jobs=1 runs in the calling domain" [ 1; 2; 3 ]
+    (Scheduler.run_thunks
+       (Scheduler.create ~jobs:1 ())
+       [ (fun () -> 1); (fun () -> 2); (fun () -> 3) ])
 
 let test_map () =
-  Scheduler.with_scheduler ~jobs:2 (fun sched ->
-      Alcotest.(check (list int))
-        "map keeps order" [ 2; 4; 6; 8 ]
-        (Scheduler.run_thunks sched
-           (List.map (fun x () -> 2 * x) [ 1; 2; 3; 4 ])))
+  Alcotest.(check (list int))
+    "map keeps order" [ 2; 4; 6; 8 ]
+    (Scheduler.run_thunks
+       (Scheduler.create ~jobs:2 ())
+       (List.map (fun x () -> 2 * x) [ 1; 2; 3; 4 ]))
 
 let test_invalid_jobs () =
   Alcotest.check_raises "jobs must be positive"
@@ -89,68 +88,66 @@ let test_pooled_csv_identical () =
   let cells = [ giraph_cell seed; giraph_cell seed; giraph_cell seed ] in
   let serial = csv_of_results (List.map (fun f -> f ()) cells) in
   let pooled =
-    Scheduler.with_scheduler ~jobs:4 (fun sched ->
-        csv_of_results (Scheduler.run_thunks sched cells))
+    csv_of_results (Scheduler.run_thunks (Scheduler.create ~jobs:4 ()) cells)
   in
   Alcotest.(check string) "serial and pooled CSV bytes" serial pooled
 
 (* ------------------------------------------------------------------ *)
-(* Deque: owner pops the bottom (LIFO), thieves steal the top (FIFO).  *)
+(* Scheduler: execution order and failure handling.                   *)
 
-let test_deque_lifo_fifo () =
-  let d = Deque.create ~capacity:4 in
-  List.iter (Deque.push d) [ 1; 2; 3; 4 ];
-  Alcotest.(check (option int)) "thief steals the oldest" (Some 1)
-    (Deque.steal d);
-  Alcotest.(check (option int)) "owner pops the newest" (Some 4) (Deque.pop d);
-  Alcotest.(check (option int)) "steal again" (Some 2) (Deque.steal d);
-  Alcotest.(check (option int)) "pop the last" (Some 3) (Deque.pop d);
-  Alcotest.(check (option int)) "pop empty" None (Deque.pop d);
-  Alcotest.(check (option int)) "steal empty" None (Deque.steal d);
-  Alcotest.check_raises "push past capacity"
-    (Invalid_argument "Deque.push: capacity exceeded") (fun () ->
-      let d = Deque.create ~capacity:1 in
-      Deque.push d 1;
-      Deque.push d 2)
+(* Each cell takes a ticket from a shared counter when it starts, so at
+   jobs = 1 the tickets are the execution order. *)
+let test_longest_cost_first () =
+  let ticket =
+    Atomic.make 0
+    [@th.atomic "start order of the batch's cells; fetch_and_add only"]
+  in
+  let costs = [ 1.0; 5.0; 3.0; 5.0; 0.0; 2.0 ] in
+  let cells =
+    List.mapi
+      (fun i cost ->
+        Cell.make ~label:(Printf.sprintf "c%d" i) ~cost ~lane:i (fun () ->
+            (i, Atomic.fetch_and_add ticket 1)))
+      costs
+  in
+  let t = Scheduler.create ~jobs:1 () in
+  let results = Scheduler.run_cells t cells in
+  Alcotest.(check (list int))
+    "results in submission order" [ 0; 1; 2; 3; 4; 5 ] (List.map fst results);
+  (* Descending cost, ties (5.0 twice; 1.0 and the defaulted 0.0) in
+     submission order. *)
+  Alcotest.(check (list int))
+    "longest cost first, ties by submission" [ 4; 0; 2; 1; 5; 3 ]
+    (List.map snd results);
+  let stats = Scheduler.last_batch t in
+  Alcotest.(check int) "one wall time per cell" 6
+    (Array.length stats.Scheduler.cell_wall_s)
 
-(* ------------------------------------------------------------------ *)
-(* Scheduler: the steal path, forced deterministically with [pin].     *)
-
-(* Every chunk is pinned onto domain 1, so the submitting domain (0)
-   starts with an empty deque and can only make progress by stealing. *)
-let test_forced_steals () =
-  Scheduler.with_scheduler ~jobs:2 (fun t ->
-      let cells =
-        List.init 16 (fun i ->
-            Cell.make ~label:(Printf.sprintf "steal-%d" i) ~lane:i (fun () ->
-                Unix.sleepf 0.002;
-                i))
+(* Two cells fail, the later-submitted one with the larger cost so it
+   runs first: every other cell still runs, and the failure re-raised is
+   the first by submission order. *)
+let test_first_failure_by_submission () =
+  List.iter
+    (fun jobs ->
+      let ran =
+        Atomic.make 0 [@th.atomic "cells that finished; fetch_and_add only"]
       in
-      let results = Scheduler.run_cells ~pin:(fun _ -> 1) ~chunk_max:1 t cells in
-      Alcotest.(check (list int))
-        "submission order despite steals"
-        (List.init 16 Fun.id) results;
-      let stats = Scheduler.last_batch t in
-      Alcotest.(check int) "one chunk per cell" 16 stats.Scheduler.chunks;
-      Alcotest.(check bool)
-        "the idle domain stole work" true
-        (stats.Scheduler.steals > 0);
+      let cells =
+        List.init 8 (fun i ->
+            let cost = if i = 5 then 10.0 else 1.0 in
+            Cell.make ~label:(Printf.sprintf "c%d" i) ~cost ~lane:i (fun () ->
+                if i = 2 || i = 5 then failwith (Printf.sprintf "cell %d" i);
+                ignore (Atomic.fetch_and_add ran 1 : int)))
+      in
+      Alcotest.check_raises
+        (Printf.sprintf "jobs=%d: first failure by submission order" jobs)
+        (Failure "cell 2")
+        (fun () ->
+          ignore (Scheduler.run_cells (Scheduler.create ~jobs ()) cells));
       Alcotest.(check int)
-        "per-cell wall times recorded" 16
-        (Array.length stats.Scheduler.cell_wall_s);
-      Alcotest.(check bool)
-        "wall times are positive" true
-        (Array.for_all (fun w -> w > 0.0) stats.Scheduler.cell_wall_s))
-
-let test_pin_out_of_range () =
-  Scheduler.with_scheduler ~jobs:2 (fun t ->
-      Alcotest.check_raises "pin must land inside [0, jobs)"
-        (Invalid_argument "Scheduler.run_cells: pin out of range") (fun () ->
-          ignore
-            (Scheduler.run_cells
-               ~pin:(fun _ -> 2)
-               t
-               [ Cell.of_thunk (fun () -> 1) ])))
+        (Printf.sprintf "jobs=%d: every other cell ran" jobs)
+        6 (Atomic.get ran))
+    [ 1; 4 ]
 
 (* ------------------------------------------------------------------ *)
 (* Plan: futures, grouped regrouping, read-before-run.                 *)
@@ -180,7 +177,7 @@ let test_plan_futures () =
                  (String.concat "+" (List.map string_of_int vs))))
           (Plan.get g))
   in
-  Scheduler.with_scheduler ~jobs:4 (fun t -> Plan.run_section t section);
+  Plan.run_section (Scheduler.create ~jobs:4 ()) section;
   Alcotest.(check string)
     "futures resolve in submission order, groups regroup exactly"
     "42abk0=0+1+2k1=k2=10+11" (Buffer.contents rendered)
@@ -193,29 +190,28 @@ let test_plan_get_before_run () =
     (fun () -> ignore (Plan.get x))
 
 (* ------------------------------------------------------------------ *)
-(* Property: for ANY cost vector, chunking and jobs count, the
+(* Property: for ANY cost vector and jobs count, the
    scheduler returns submission-order results and a render over those
    results is byte-identical to the serial reference.                  *)
 
 let prop_scheduler_deterministic =
   let gen =
     QCheck.Gen.(
-      triple
+      pair
         (list_size (int_range 0 40) (int_range (-5) 80))
-        (int_range 1 6)
         (oneofl [ 1; 2; 4; 8 ]))
   in
   let arb =
     QCheck.make
-      ~print:(fun (costs, chunk_max, jobs) ->
-        Printf.sprintf "costs(x0.1)=[%s] chunk_max=%d jobs=%d"
+      ~print:(fun (costs, jobs) ->
+        Printf.sprintf "costs(x0.1)=[%s] jobs=%d"
           (String.concat ";" (List.map string_of_int costs))
-          chunk_max jobs)
+          jobs)
       gen
   in
   QCheck.Test.make ~count:40
     ~name:"random cell DAGs render byte-identically at any jobs" arb
-    (fun (deci_costs, chunk_max, jobs) ->
+    (fun (deci_costs, jobs) ->
       let cells =
         List.mapi
           (fun i dc ->
@@ -232,8 +228,7 @@ let prop_scheduler_deterministic =
         render (List.mapi (fun i dc -> (i * 31) + dc) deci_costs)
       in
       let scheduled =
-        Scheduler.with_scheduler ~jobs (fun t ->
-            render (Scheduler.run_cells ~chunk_max t cells))
+        render (Scheduler.run_cells (Scheduler.create ~jobs ()) cells)
       in
       String.equal serial scheduled)
 
@@ -249,10 +244,10 @@ let suite =
       test_wall_clock_monotonic;
     Alcotest.test_case "pooled CSV identical to serial" `Slow
       test_pooled_csv_identical;
-    Alcotest.test_case "deque LIFO owner / FIFO thief" `Quick
-      test_deque_lifo_fifo;
-    Alcotest.test_case "pinned batch forces steals" `Quick test_forced_steals;
-    Alcotest.test_case "pin out of range rejected" `Quick test_pin_out_of_range;
+    Alcotest.test_case "jobs=1 runs longest cost first" `Quick
+      test_longest_cost_first;
+    Alcotest.test_case "first failure by submission order" `Quick
+      test_first_failure_by_submission;
     Alcotest.test_case "plan futures and grouped regroup" `Quick
       test_plan_futures;
     Alcotest.test_case "plan future read before run" `Quick

@@ -14,16 +14,26 @@ module Setups = Th_baselines.Setups
 module Streaming_driver = Th_workloads.Streaming_driver
 module Run_result = Th_workloads.Run_result
 
-let run_smoke ?faults ?(with_monitor = false) ?(verify = false) () =
+let run_smoke ?faults ?(with_monitor = false) ?(verify = false)
+    ?(monitor_first = false) () =
   let s =
     Setups.streaming_teraheap ?faults
       ~h1_gb:Streaming_driver.smoke.Streaming_driver.h1_gb
       ~dr2_gb:Streaming_driver.smoke.Streaming_driver.dr2_gb ()
   in
-  let v = if verify then Some (Verify.attach s.Setups.s_rt Verify.Safepoint) else None in
-  let monitor =
+  let attach_verify () =
+    if verify then Some (Verify.attach s.Setups.s_rt Verify.Safepoint) else None
+  and attach_monitor () =
     if with_monitor then Some (Monitor.attach ~slo:Slo.default s.Setups.s_rt)
     else None
+  in
+  let v, monitor =
+    if monitor_first then
+      let m = attach_monitor () in
+      (attach_verify (), m)
+    else
+      let v = attach_verify () in
+      (v, attach_monitor ())
   in
   let r =
     Streaming_driver.run ~label:"smoke" ?h2_device:s.Setups.s_h2_device
@@ -88,6 +98,44 @@ let test_chaos_run_is_sane_and_deterministic () =
   Alcotest.(check bool) "identical resilience summaries" true
     (r1.Run_result.resilience = r2.Run_result.resilience)
 
+(* The sanitizer and the monitor share the safepoint hook and each
+   chains onto whatever is installed, so attach order must not matter:
+   either way the monitor samples and the sanitizer checks. *)
+let test_attach_order_irrelevant () =
+  let run ~monitor_first =
+    let r, _, v =
+      run_smoke ~faults:chaos_plan ~with_monitor:true ~verify:true
+        ~monitor_first ()
+    in
+    (match v with
+    | None -> Alcotest.fail "verifier missing"
+    | Some v ->
+        Alcotest.(check int)
+          (Printf.sprintf "monitor_first=%b: no sanitizer violations"
+             monitor_first)
+          0 (Verify.violation_count v));
+    r
+  in
+  let a = run ~monitor_first:false and b = run ~monitor_first:true in
+  (match b.Run_result.resilience with
+  | None -> Alcotest.fail "resilience summary missing"
+  | Some s ->
+      Alcotest.(check bool) "monitor attached first still samples" true
+        (s.Monitor.samples > 0));
+  Alcotest.(check bool) "identical monitor summaries" true
+    (a.Run_result.resilience = b.Run_result.resilience);
+  Alcotest.(check bool) "identical outcomes" true
+    (a.Run_result.outcome = b.Run_result.outcome);
+  Alcotest.(check bool) "identical simulated time" true
+    (a.Run_result.breakdown = b.Run_result.breakdown);
+  Alcotest.(check (pair int int)) "identical GC counts"
+    (a.Run_result.minor_gcs, a.Run_result.major_gcs)
+    (b.Run_result.minor_gcs, b.Run_result.major_gcs);
+  Alcotest.(check bool) "identical H2 and fault counters" true
+    (a.Run_result.h2_stats = b.Run_result.h2_stats
+    && a.Run_result.h2_device = b.Run_result.h2_device
+    && a.Run_result.faults = b.Run_result.faults)
+
 (* The wearout plan ends in a worn-out terminal phase: the run must see
    the phase schedule actually advance. *)
 let test_phased_plan_advances () =
@@ -119,6 +167,8 @@ let suite =
     Alcotest.test_case "same seed, same run" `Quick test_smoke_deterministic;
     Alcotest.test_case "bursty chaos: sanitizer-clean and deterministic"
       `Slow test_chaos_run_is_sane_and_deterministic;
+    Alcotest.test_case "sanitizer and monitor attach in either order" `Quick
+      test_attach_order_irrelevant;
     Alcotest.test_case "wearout plan advances through its phases" `Quick
       test_phased_plan_advances;
   ]
