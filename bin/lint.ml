@@ -1,31 +1,28 @@
 (* Thin CLI over the Th_analysis AST analyzer (lib/analysis).
 
    Usage: lint.exe [options] [paths...]
-     --format text|json|sarif  report format (default text)
+     --format text|json   report format (default text)
      --rules r1,r2        run only the named rules
      --explain RULE       print a rule's documentation and exit
      --list-rules         one-line summary of every rule
-     --self-test          run the analyzer over its embedded fixtures
-     --dump-fixtures DIR  write the embedded fixtures as files into DIR
-     --callgraph-dump     print the cross-library call graph and exit
      -o FILE              write the report to FILE instead of stdout
      paths                files or directories (default: lib bin bench)
 
-   Exit codes: 0 clean, 1 findings (or self-test failure), 2 usage error.
+   Exit codes: 0 clean, 1 findings, 2 usage error.
 
    The analyzer parses every .ml/.mli with the compiler's own parser and
    runs scope-aware AST rules (see `--list-rules`). The one check that
    cannot live at the AST level — a lib/ compilation unit missing its
-   sealing .mli — is Th_analysis.Fscheck, against the file system. *)
+   sealing .mli — is Th_analysis.Fscheck, against the file system. Each
+   rule's positive and negative fixture lives in test/fixtures/analysis/
+   and is checked by the test suite. *)
 
 let default_paths = [ "lib"; "bin"; "bench" ]
 
 let usage () =
   prerr_endline
-    "usage: lint.exe [--format text|json|sarif] [--rules r1,r2] [--explain \
-     RULE]\n\
-    \       [--list-rules] [--self-test] [--callgraph-dump]\n\
-    \       [-o FILE] [paths...]";
+    "usage: lint.exe [--format text|json] [--rules r1,r2] [--explain RULE]\n\
+    \       [--list-rules] [-o FILE] [paths...]";
   exit 2
 
 let collect path acc =
@@ -56,51 +53,6 @@ let list_rules () =
     "lib/ compilation unit without a sealing .mli (file-system check)";
   exit 0
 
-(* Regenerate test/fixtures/analysis/ from the embedded snippets. The
-   alcotest suite asserts file = snippet, so this is the one sanctioned
-   way to update the fixtures after editing Selftest.cases. *)
-let dump_fixtures dir =
-  if not (Sys.file_exists dir && Sys.is_directory dir) then begin
-    Printf.eprintf "lint: --dump-fixtures: %s is not a directory\n" dir;
-    exit 2
-  end;
-  List.iter
-    (fun (c : Th_analysis.Selftest.case) ->
-      List.iter
-        (fun (polarity, contents) ->
-          let file =
-            Filename.concat dir
-              (Th_analysis.Selftest.fixture_basename ~polarity c.rule)
-          in
-          let oc = open_out file in
-          output_string oc contents;
-          close_out oc;
-          Printf.printf "lint: wrote %s\n" file)
-        [ (`Pos, c.positive); (`Neg, c.negative) ])
-    Th_analysis.Selftest.cases;
-  exit 0
-
-let callgraph_dump paths =
-  let files =
-    List.sort String.compare (List.concat_map (fun p -> collect p []) paths)
-  in
-  let sources =
-    List.filter_map
-      (fun f -> Result.to_option (Th_analysis.Source.parse_file f))
-      files
-  in
-  print_string (Th_analysis.Engine.callgraph_dump sources);
-  exit 0
-
-let self_test () =
-  match Th_analysis.Selftest.run () with
-  | Ok n ->
-      Printf.printf "lint --self-test: %d check(s) passed\n" n;
-      exit 0
-  | Error msgs ->
-      List.iter (fun m -> Printf.eprintf "lint --self-test: FAILED: %s\n" m) msgs;
-      exit 1
-
 let () =
   let format = ref `Text in
   let rules = ref None in
@@ -112,9 +64,8 @@ let () =
         (match v with
         | "text" -> format := `Text
         | "json" -> format := `Json
-        | "sarif" -> format := `Sarif
         | _ ->
-            Printf.eprintf "lint: unknown format %S (text|json|sarif)\n" v;
+            Printf.eprintf "lint: unknown format %S (text|json)\n" v;
             exit 2);
         parse_args rest
     | "--rules" :: v :: rest ->
@@ -136,11 +87,6 @@ let () =
         explain v
     | [ "--explain" ] -> usage ()
     | "--list-rules" :: _ -> list_rules ()
-    | "--self-test" :: _ -> self_test ()
-    | "--callgraph-dump" :: rest ->
-        callgraph_dump (match rest with [] -> default_paths | ps -> ps)
-    | "--dump-fixtures" :: dir :: _ -> dump_fixtures dir
-    | [ "--dump-fixtures" ] -> usage ()
     | "-o" :: v :: rest | "--output" :: v :: rest ->
         output := Some v;
         parse_args rest
@@ -172,7 +118,6 @@ let () =
     match !format with
     | `Text -> Th_analysis.Report.to_text ~waived findings
     | `Json -> Th_analysis.Report.to_json ~waived findings
-    | `Sarif -> Th_analysis.Report.to_sarif ~waived findings
   in
   (match !output with
   | None -> print_string report

@@ -13,8 +13,8 @@
    genuine whole-project one.
 
    The graph also records, per module, which record fields are declared
-   [mutable] and which type declarations carry Atomic.t fields — the
-   escape analysis classifies captured record literals with it. *)
+   [mutable] — the escape analysis classifies captured record literals
+   with it. *)
 
 open Parsetree
 module SS = Syntax.SS
@@ -55,7 +55,6 @@ type t = {
   (* (lib, modname) -> record field names declared mutable there *)
   mutable_fields : (string * string, SS.t) Hashtbl.t;
   mutable effects : (key * KS.t) list; (* fixpoint result, assoc *)
-  mutable edges : (key * KS.t) list; (* direct call edges, assoc *)
 }
 
 let wrapper_of_lib lib = String.capitalize_ascii lib
@@ -206,7 +205,6 @@ let build (sources : Source.t list) =
       wrappers = Hashtbl.create 16;
       mutable_fields = Hashtbl.create 32;
       effects = [];
-      edges = [];
     }
   in
   (* Pass 0: module/library landscape and mutable record fields, so the
@@ -339,7 +337,6 @@ let build (sources : Source.t list) =
       direct
   done;
   t.effects <- List.map (fun (k, _) -> (k, Hashtbl.find table k)) direct;
-  t.edges <- List.map (fun (k, (_, calls)) -> (k, calls)) direct;
   t
 
 let global_info t key =
@@ -351,8 +348,6 @@ let global_site t key =
       Printf.sprintf "%s:%d" g.site.loc_start.pos_fname
         g.site.loc_start.pos_lnum
   | None -> "?"
-
-let is_def t key = Hashtbl.mem t.defs key
 
 let def_attrs t key =
   Option.value ~default:[] (Hashtbl.find_opt t.def_attrs key)
@@ -372,38 +367,3 @@ let def_effects t key =
   match List.find_opt (fun (k, _) -> compare_key k key = 0) t.effects with
   | Some (_, e) -> KS.elements e
   | None -> []
-
-let mutable_field t ~lib ~modname fname =
-  match Hashtbl.find_opt t.mutable_fields (lib, modname) with
-  | Some fs -> SS.mem fname fs
-  | None -> false
-
-let dump t =
-  let b = Buffer.create 4096 in
-  let globals =
-    (* th-lint: allow hashtbl-order — sorted immediately below. *)
-    Hashtbl.fold (fun k g acc -> (k, g) :: acc) t.globals []
-    |> List.sort (fun (a, _) (b, _) -> compare_key a b)
-  in
-  Buffer.add_string b
-    (Printf.sprintf "callgraph: %d defs, %d mutable globals\n"
-       (List.length t.edges) (List.length globals));
-  List.iter
-    (fun (k, g) ->
-      Buffer.add_string b
-        (Printf.sprintf "global %s (%s:%d)%s\n" (key_to_string k)
-           g.site.loc_start.pos_fname g.site.loc_start.pos_lnum
-           (if g.blessed then " [blessed]" else "")))
-    globals;
-  List.iter2
-    (fun (k, calls) (k', effs) ->
-      assert (compare_key k k' = 0);
-      let show set =
-        KS.elements set |> List.map key_to_string |> String.concat " "
-      in
-      if not (KS.is_empty calls && KS.is_empty effs) then
-        Buffer.add_string b
-          (Printf.sprintf "def %s\n  calls:   %s\n  effects: %s\n"
-             (key_to_string k) (show calls) (show effs)))
-    t.edges t.effects;
-  Buffer.contents b

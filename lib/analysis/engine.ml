@@ -493,19 +493,9 @@ let analyze ?rules sources =
             }
           in
           run_structure ctx str;
-          (* Atomic-protocol pass: its own traversal (it needs
-             whole-module views of each location), findings funnel
-             through the same emit so file- and comment-level waivers
-             apply uniformly. *)
-          List.iter
-            (fun (r : Atomics.raw) ->
-              emit ctx ~loc:r.loc ~rule:r.rule
-                ~force_waive:(List.mem r.rule r.allows)
-                r.message)
-            (Atomics.analyze str);
           (* Raises pass: summaries were computed project-wide up
-             front; per-file rule checks funnel through emit the same
-             way, so [@th.allow]/comment waivers divert uniformly. *)
+             front; per-file rule checks funnel through the same emit,
+             so [@th.allow]/comment waivers divert uniformly. *)
           List.iter
             (fun (r : Raises.raw) ->
               emit ctx ~loc:r.loc ~rule:r.rule
@@ -541,5 +531,3 @@ let analyze_files ?rules files =
   in
   let r = analyze ?rules (List.rev parsed) in
   { r with findings = List.sort Finding.compare (errors @ r.findings) }
-
-let callgraph_dump sources = Callgraph.dump (Callgraph.build sources)

@@ -1,7 +1,7 @@
 (** The rule engine: one pass of syntactic rules per file, a
     cross-library effect analysis (mutable globals and escaping
-    captures at domain-crossing sinks), and the atomic-protocol pass —
-    all with uniform waiver handling.
+    captures at domain-crossing sinks), and the exception-flow checks
+    of {!Raises} — all with uniform waiver handling.
 
     The escape-capture rule has a dedicated bless token: [@th.allow
     "domain_shared <justification>"] diverts the finding to [waived].
@@ -38,9 +38,3 @@ val analyze : ?rules:string list -> Source.t list -> result
 val analyze_files : ?rules:string list -> string list -> result
 (** Parse then {!analyze}. A file that fails to parse contributes a
     [parse-error] finding carrying the parser's message. *)
-
-val callgraph_dump : Source.t list -> string
-(** Deterministic text dump of the cross-library call graph the
-    domain-safety rules resolve over: every mutable global with its
-    definition site, every definition's direct call edges and
-    transitive effect summary. Exposed as [--callgraph-dump]. *)

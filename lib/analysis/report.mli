@@ -1,4 +1,4 @@
-(** Reporters: compiler-style text, a stable JSON document and SARIF.
+(** Reporters: compiler-style text and a stable JSON document.
 
     The JSON schema (version 1), printed by {!Th_json.Json} with one
     array element per line:
@@ -25,14 +25,3 @@ val of_json : string -> (Finding.t list * Finding.t list, string) result
 (** Parse {!to_json} output back into [(findings, waived)]. [Error] on
     malformed JSON, a version other than 1, an unknown severity or a
     finding field outside the schema. *)
-
-val to_sarif : ?waived:Finding.t list -> Finding.t list -> string
-(** SARIF 2.1.0 (minimal profile): one run, driver ["th-lint"] with the
-    full rule registry as rule metadata, one result per finding. Waived
-    findings become results carrying an [inSource] suppression, so
-    SARIF viewers show them as deliberately accepted rather than
-    dropping them. Deterministic output. *)
-
-val of_sarif : string -> (Finding.t list * Finding.t list, string) result
-(** Parse {!to_sarif} output back into [(findings, waived)] — waived
-    are the suppressed results. Round-trips like {!of_json}. *)

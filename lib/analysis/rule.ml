@@ -1,7 +1,6 @@
 type family =
   | Determinism
   | Domain_safety
-  | Atomic_protocol
   | Exception_flow
   | Hygiene
 
@@ -16,7 +15,6 @@ type t = {
 let family_to_string = function
   | Determinism -> "determinism"
   | Domain_safety -> "domain-safety"
-  | Atomic_protocol -> "atomic-protocol"
   | Exception_flow -> "exception-flow"
   | Hygiene -> "invariant-hygiene"
 
@@ -138,72 +136,6 @@ let all =
          [@th.allow \"domain_shared <why it is safe>\"]. The justification \n\
          is mandatory: a bare \"domain_shared\" token waives nothing, and \n\
          a blessed finding is diverted to the waived list, never dropped.";
-    };
-    {
-      name = "atomic-missing-role";
-      family = Atomic_protocol;
-      severity = Finding.Error;
-      synopsis = "Atomic.t declaration without a [@th.atomic \"role\"] annotation";
-      explain =
-        "Every Atomic.t in this codebase participates in a protocol the \n\
-         type system cannot express: the scheduler's claim cursor only \n\
-         moves by fetch_and_add, a plan's result slot is written once by \n\
-         the domain that ran its cell. The [@th.atomic \"...\"] \n\
-         annotation states that protocol next to the declaration — who \n\
-         writes the location, through which primitives, in which phase — \n\
-         so the atomic-protocol rules can cite it in findings and \n\
-         --explain can surface it. \n\
-         Annotate record fields as \n\
-         [next : int Atomic.t [@th.atomic \"claimed via fetch_and_add\"]] \n\
-         and top-level bindings as \n\
-         [let hits = Atomic.make 0 [@th.atomic \"shared hit counter\"]].";
-    };
-    {
-      name = "atomic-plain-write";
-      family = Atomic_protocol;
-      severity = Finding.Error;
-      synopsis = "Atomic.set on a location elsewhere updated by CAS-class ops";
-      explain =
-        "A location that other code claims with compare_and_set, \n\
-         fetch_and_add or exchange is contended by construction; a plain \n\
-         Atomic.set to it can overwrite a concurrent RMW that already \n\
-         succeeded — the lost-update race. Reach the new value through \n\
-         compare_and_set (retrying from a fresh read), or, when the store \n\
-         is protocol-safe because no rival can be running (e.g. a reset \n\
-         made before any other domain is spawned or after all are \n\
-         joined), waive the site stating that phase argument.";
-    };
-    {
-      name = "atomic-plain-read";
-      family = Atomic_protocol;
-      severity = Finding.Error;
-      synopsis =
-        "Atomic.get of a CAS-contended location with no CAS in the reader";
-      explain =
-        "Reading a CAS-contended location is only meaningful as the input \n\
-         to a CAS that validates the value is still current — the \n\
-         retry-loop idiom, which this rule never flags. A definition that \n\
-         reads such a location and performs no compare_and_set on it is \n\
-         acting on a snapshot that may be stale before the next \n\
-         instruction. Either feed the read into a compare_and_set, or \n\
-         waive the site stating why staleness is acceptable (monitoring \n\
-         counters and other values that are advisory by contract).";
-    };
-    {
-      name = "atomic-check-then-act";
-      family = Atomic_protocol;
-      severity = Finding.Error;
-      synopsis = "Atomic.get guarding an Atomic.set to the same location";
-      explain =
-        "if Atomic.get x = v then Atomic.set x v' is the check-then-act \n\
-         race: between the read and the write any other domain can change \n\
-         x, and the set then clobbers that update based on a stale \n\
-         premise. compare_and_set exists precisely to close this window — \n\
-         it re-validates the check and the act as one atomic step. The \n\
-         rule fires on a get of a location guarding a plain set to the \n\
-         same location (through if or while) with no interposing CAS on \n\
-         it; rewrite with compare_and_set, or waive with the protocol \n\
-         phase that rules out rivals.";
     };
     {
       name = "fault-barrier";

@@ -72,13 +72,6 @@ let parse_file file =
    waiver can share it. *)
 let waiver_marker = "th-lint:"
 
-let split_words s =
-  String.split_on_char ' ' s
-  |> List.concat_map (String.split_on_char '\n')
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.concat_map (String.split_on_char ',')
-  |> List.filter (fun w -> w <> "")
-
 let find_sub hay needle =
   let hl = String.length hay and nl = String.length needle in
   let rec go i =
@@ -99,7 +92,7 @@ let line_waivers t =
               (i + String.length waiver_marker)
               (String.length text - i - String.length waiver_marker)
           in
-          match split_words rest with
+          match Syntax.split_words rest with
           | "allow" :: rules when rules <> [] ->
               Some (loc.loc_end.pos_lnum, rules)
           | _ -> None))

@@ -1,7 +1,7 @@
 (* Shared AST helpers for the analysis passes: longident flattening,
    waiver-attribute parsing, pattern utilities. Factored out of Engine
-   so the atomic-protocol pass (Atomics) and the call-graph builder
-   (Callgraph) speak the same dialect. *)
+   so the call-graph builder (Callgraph) and the raises analysis
+   (Raises) speak the same dialect. *)
 
 open Parsetree
 module SS = Set.Make (String)
@@ -88,18 +88,6 @@ let attr_raises (attrs : attributes) =
         | None -> acc
       else acc)
     None attrs
-
-(* [@th.atomic "role"] — the role annotation required on every Atomic.t
-   declaration. Returns the role string when present and non-empty. *)
-let attr_atomic_role (attrs : attributes) =
-  List.find_map
-    (fun a ->
-      if String.equal a.attr_name.txt "th.atomic" then
-        match string_payload a.attr_payload with
-        | Some s when String.trim s <> "" -> Some (String.trim s)
-        | _ -> None
-      else None)
-    attrs
 
 let rec pat_vars p =
   match p.ppat_desc with

@@ -1,9 +1,9 @@
 (** Shared AST helpers for the analysis passes.
 
     Everything here is purely syntactic: longident flattening, waiver
-    attribute parsing ([[@th.allow "..."]], [[@th.atomic "..."]]),
-    pattern variable/constructor collection, and a scope-aware
-    identifier iterator. *)
+    and contract attribute parsing ([[@th.allow "..."]],
+    [[@th.raises "..."]]), pattern variable/constructor collection,
+    and a scope-aware identifier iterator. *)
 
 module SS : Set.S with type elt = string
 
@@ -16,9 +16,6 @@ val last2 : string list -> (string * string) option
 
 val split_words : string -> string list
 (** Split on spaces, tabs, newlines and commas, dropping empties. *)
-
-val string_payload : Parsetree.payload -> string option
-(** The string constant of a [PStr] payload, if that is its shape. *)
 
 val escape_bless_token : string
 (** ["domain_shared"] — the waiver token that blesses an
@@ -38,10 +35,6 @@ val attr_raises :
     and only escapes applications passing [~checked] as other than a
     literal [false]. [Some []] (payload [""] or ["none"]) declares
     that nothing escapes; [None] means no declaration at all. *)
-
-val attr_atomic_role : Parsetree.attributes -> string option
-(** The role string of a [[@th.atomic "role"]] attribute, trimmed;
-    [None] when absent or empty. *)
 
 val pat_vars : Parsetree.pattern -> string list
 

@@ -28,7 +28,7 @@ let cell b ?label ?cost f =
   (* The slot is written by whichever worker domain runs the cell and
      read by the coordinator after the batch; Atomic publication makes
      the hand-off explicit rather than leaning on the join fence. *)
-  let slot = Atomic.make None [@th.atomic "cell result, written once by the executing domain"] in
+  let slot = Atomic.make None in
   let c =
     Cell.make ~label ?cost ~lane:b.count (fun () -> Atomic.set slot (Some (f ())))
   in

@@ -35,12 +35,9 @@ let run_cells t cells =
     order;
   let results = Array.make n None in
   let durations = Array.make n 0.0 in
-  let cursor =
-    Atomic.make 0
-    [@th.atomic
-      "next position in [order] to run; advanced only by fetch_and_add, \
-       so every position is claimed by exactly one domain"]
-  in
+  (* Next position in [order] to run. It only moves by fetch_and_add,
+     so every position is claimed by exactly one domain. *)
+  let cursor = Atomic.make 0 in
   let rec claim () =
     let k = Atomic.fetch_and_add cursor 1 in
     if k < n then begin

@@ -1,9 +1,8 @@
 (** The simulator's one JSON codec.
 
     Every JSON document the repo writes or reads — Chrome traces, the
-    bench harness log, the analyzer's JSON and SARIF reports — goes
-    through this module, so there is one escaper, one layout and one
-    parser.
+    bench harness log, the analyzer's report — goes through this
+    module, so there is one escaper, one layout and one parser.
 
     The printer is compact and deterministic. Its only layout rule is
     that every array prints one element per line: [\[\n], the elements

@@ -1,19 +1,24 @@
 (* Tests for the Th_analysis AST analyzer (lib/analysis).
 
-   The per-rule fixtures under fixtures/analysis/ mirror the snippets
-   embedded in Th_analysis.Selftest — the first test asserts file =
-   snippet so the two can never drift (regenerate the files with
-   `dune exec bin/lint.exe -- --dump-fixtures test/fixtures/analysis`
-   after editing Selftest.cases). *)
+   Every rule in Th_analysis.Rule.all has a positive and a negative
+   fixture under fixtures/analysis/, named <rule>_pos.ml and
+   <rule>_neg.ml with the rule's dashes turned into underscores. The
+   positive one must produce a finding of its rule, the negative one
+   must produce none; the suite derives the file names from the
+   registry, so a new rule without fixtures fails "every rule has a
+   fixture case". *)
 
 module Finding = Th_analysis.Finding
 module Engine = Th_analysis.Engine
 module Source = Th_analysis.Source
 module Report = Th_analysis.Report
 module Rule = Th_analysis.Rule
-module Selftest = Th_analysis.Selftest
 
 let fixture_dir = Filename.concat "fixtures" "analysis"
+
+let fixture_basename ~polarity rule =
+  String.map (fun c -> if c = '-' then '_' else c) rule
+  ^ (match polarity with `Pos -> "_pos.ml" | `Neg -> "_neg.ml")
 
 let read_file path =
   let ic = open_in_bin path in
@@ -21,11 +26,14 @@ let read_file path =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let analyze_fixture file =
+let analyze_fixture ?rules file =
   let path = Filename.concat fixture_dir file in
   match Source.parse_file path with
-  | Ok s -> Engine.analyze [ s ]
+  | Ok s -> Engine.analyze ?rules [ s ]
   | Error m -> Alcotest.failf "fixture %s does not parse: %s" file m
+
+let positive_source rule =
+  read_file (Filename.concat fixture_dir (fixture_basename ~polarity:`Pos rule))
 
 let has_rule rule fs = List.exists (fun f -> String.equal f.Finding.rule rule) fs
 
@@ -35,49 +43,44 @@ let contains_sub hay needle =
   go 0
 
 (* ------------------------------------------------------------------ *)
-(* Fixture files stay in sync with the embedded snippets               *)
-
-let test_fixtures_in_sync () =
-  List.iter
-    (fun (c : Selftest.case) ->
-      List.iter
-        (fun (polarity, snippet) ->
-          let file = Selftest.fixture_basename ~polarity c.rule in
-          let on_disk = read_file (Filename.concat fixture_dir file) in
-          if not (String.equal on_disk snippet) then
-            Alcotest.failf
-              "%s differs from the snippet embedded in Selftest.cases \
-               (regenerate with lint.exe --dump-fixtures)"
-              file)
-        [ (`Pos, c.positive); (`Neg, c.negative) ])
-    Selftest.cases
-
-(* ------------------------------------------------------------------ *)
 (* Each rule: positive fixture triggers, negative fixture is clean     *)
 
+(* The positive fixture is also run with only its own rule enabled, as
+   [lint.exe --rules <rule>] does: the rule must still fire on its own,
+   and every finding must be that rule's. *)
 let test_rule_fixtures () =
   List.iter
-    (fun (c : Selftest.case) ->
-      let pos = analyze_fixture (Selftest.fixture_basename ~polarity:`Pos c.rule) in
-      if not (has_rule c.rule pos.Engine.findings) then
-        Alcotest.failf "positive fixture for %s produced no %s finding" c.rule
-          c.rule;
-      let neg = analyze_fixture (Selftest.fixture_basename ~polarity:`Neg c.rule) in
-      if has_rule c.rule neg.Engine.findings || has_rule c.rule neg.Engine.waived
-      then Alcotest.failf "negative fixture for %s is not clean" c.rule)
-    Selftest.cases
+    (fun (r : Rule.t) ->
+      let pos_file = fixture_basename ~polarity:`Pos r.name in
+      let pos = analyze_fixture pos_file in
+      if not (has_rule r.name pos.Engine.findings) then
+        Alcotest.failf "positive fixture for %s produced no %s finding" r.name
+          r.name;
+      let alone = analyze_fixture ~rules:[ r.name ] pos_file in
+      if alone.Engine.findings = [] then
+        Alcotest.failf "%s alone finds nothing in %s" r.name pos_file;
+      List.iter
+        (fun (f : Finding.t) ->
+          if not (String.equal f.rule r.name) then
+            Alcotest.failf "%s alone reported a %s finding in %s" r.name f.rule
+              pos_file)
+        (alone.Engine.findings @ alone.Engine.waived);
+      let neg = analyze_fixture (fixture_basename ~polarity:`Neg r.name) in
+      if has_rule r.name neg.Engine.findings || has_rule r.name neg.Engine.waived
+      then Alcotest.failf "negative fixture for %s is not clean" r.name)
+    Rule.all
 
-(* Every rule in the registry has a selftest case, so the loop above
+(* Every rule in the registry has both fixture files, so the loop above
    really covers the whole rule surface. *)
 let test_registry_covered () =
   List.iter
     (fun (r : Rule.t) ->
-      if
-        not
-          (List.exists
-             (fun (c : Selftest.case) -> String.equal c.rule r.name)
-             Selftest.cases)
-      then Alcotest.failf "rule %s has no selftest case" r.name)
+      List.iter
+        (fun polarity ->
+          let file = fixture_basename ~polarity r.name in
+          if not (Sys.file_exists (Filename.concat fixture_dir file)) then
+            Alcotest.failf "rule %s has no fixture %s" r.name file)
+        [ `Pos; `Neg ])
     Rule.all
 
 (* ------------------------------------------------------------------ *)
@@ -86,7 +89,7 @@ let test_registry_covered () =
 
 let test_pmap_acceptance () =
   let r =
-    analyze_fixture (Selftest.fixture_basename ~polarity:`Pos "pmap-mutable-global")
+    analyze_fixture (fixture_basename ~polarity:`Pos "pmap-mutable-global")
   in
   match
     List.filter
@@ -197,23 +200,23 @@ let test_waiver_attribute_fixture () =
           (fun f -> String.equal f.Finding.rule "obj-magic")
           r.Engine.waived))
 
-(* qcheck: for EVERY rule's positive snippet, a file-level
+(* qcheck: for EVERY rule's positive fixture, a file-level
    [@@@th.allow] waiver moves all of that rule's findings to the waived
    list — none reach the reporter, none are lost. *)
 let prop_waived_never_reported =
   QCheck.Test.make ~count:50 ~name:"file-level waiver diverts every finding"
-    (QCheck.int_range 0 (List.length Selftest.cases - 1))
+    (QCheck.int_range 0 (List.length Rule.all - 1))
     (fun i ->
-      let c = List.nth Selftest.cases i in
+      let rule = (List.nth Rule.all i).Rule.name in
       let src =
-        Printf.sprintf "[@@@th.allow %S]\n%s" c.rule c.positive
+        Printf.sprintf "[@@@th.allow %S]\n%s" rule (positive_source rule)
       in
       match Source.parse_string ~file:"waived_probe.ml" src with
       | Error m -> QCheck.Test.fail_reportf "probe does not parse: %s" m
       | Ok s ->
           let r = Engine.analyze [ s ] in
-          (not (has_rule c.rule r.Engine.findings))
-          && has_rule c.rule r.Engine.waived)
+          (not (has_rule rule r.Engine.findings))
+          && has_rule rule r.Engine.waived)
 
 (* qcheck: the escape-capture bless token diverts, never drops — a
    [domain_shared] allow WITH a justification moves the finding to
@@ -229,13 +232,11 @@ let prop_domain_shared_diverts =
     ~name:"domain_shared bless diverts findings, bare token does not"
     (QCheck.make QCheck.Gen.(pair justification bool))
     (fun (why, justified) ->
-      let case =
-        List.find
-          (fun (c : Selftest.case) -> String.equal c.rule "escape-capture")
-          Selftest.cases
-      in
       let payload = if justified then "domain_shared " ^ why else "domain_shared" in
-      let src = Printf.sprintf "[@@@th.allow %S]\n%s" payload case.positive in
+      let src =
+        Printf.sprintf "[@@@th.allow %S]\n%s" payload
+          (positive_source "escape-capture")
+      in
       match Source.parse_string ~file:"bench/bless_probe.ml" src with
       | Error m -> QCheck.Test.fail_reportf "probe does not parse: %s" m
       | Ok s ->
@@ -296,68 +297,20 @@ let test_json_rejects () =
   | Error e -> Alcotest.failf "well-formed report rejected: %s" e
 
 (* ------------------------------------------------------------------ *)
-(* SARIF                                                               *)
-
-let prop_sarif_roundtrip =
-  QCheck.Test.make ~count:200 ~name:"SARIF report round-trips"
-    QCheck.(pair (small_list arbitrary_finding) (small_list arbitrary_finding))
-    (fun (findings, waived) ->
-      match Report.of_sarif (Report.to_sarif ~waived findings) with
-      | Ok (fs, ws) -> fs = findings && ws = waived
-      | Error m -> QCheck.Test.fail_reportf "of_sarif failed: %s" m)
-
-let test_sarif_shape () =
-  let f rule line =
-    {
-      Finding.file = "lib/exec/deque.ml";
-      line;
-      col = 4;
-      rule;
-      severity = Finding.Error;
-      message = "probe";
-    }
-  in
-  let doc =
-    Report.to_sarif
-      ~waived:[ f "atomic-plain-write" 9 ]
-      [ f "escape-capture" 3 ]
-  in
-  List.iter
-    (fun needle ->
-      if not (contains_sub doc needle) then
-        Alcotest.failf "SARIF output lacks %S" needle)
-    [
-      "\"version\":\"2.1.0\"";
-      "\"name\":\"th-lint\"";
-      (* rule metadata: every registered rule is listed in the driver *)
-      "\"id\":\"escape-capture\"";
-      "\"id\":\"atomic-check-then-act\"";
-      (* 0-based finding col 4 becomes 1-based SARIF startColumn 5 *)
-      "\"startColumn\":5";
-      (* the waived finding is suppressed, not dropped *)
-      "\"suppressions\"";
-      "\"kind\":\"inSource\"";
-    ];
-  (* exactly one result carries a suppression *)
-  let count_sub hay needle =
-    let nl = String.length needle in
-    let rec go i acc =
-      if i + nl > String.length hay then acc
-      else if String.sub hay i nl = needle then go (i + 1) (acc + 1)
-      else go (i + 1) acc
-    in
-    go 0 0
-  in
-  Alcotest.(check int) "one suppressed result" 1 (count_sub doc "suppressions")
-
-(* ------------------------------------------------------------------ *)
 (* CLI contract pieces that live in the library                        *)
 
 let test_explain_unknown_rule () =
   Alcotest.(check bool) "unknown rule not found" true (Rule.find "no-such" = None);
   Alcotest.(check bool)
     "every registered rule resolvable" true
-    (List.for_all (fun (r : Rule.t) -> Rule.find r.name <> None) Rule.all)
+    (List.for_all (fun (r : Rule.t) -> Rule.find r.name <> None) Rule.all);
+  List.iter
+    (fun (r : Rule.t) ->
+      if String.trim r.synopsis = "" || String.trim r.explain = "" then
+        Alcotest.failf "rule %s has an empty synopsis or --explain body" r.name;
+      if String.trim (Rule.explain_text r) = "" then
+        Alcotest.failf "--explain %s prints nothing" r.name)
+    Rule.all
 
 (* ------------------------------------------------------------------ *)
 (* Policy.make is a domain-crossing sink: placement-policy callbacks   *)
@@ -497,15 +450,8 @@ let test_missing_mli_fixtures () =
   Alcotest.(check int) "sealed tree is clean" 0
     (List.length (Fscheck.missing_mli (Fscheck.collect_files (tree "neg"))))
 
-let test_selftest_passes () =
-  match Selftest.run () with
-  | Ok n -> Alcotest.(check bool) "some checks ran" true (n > 0)
-  | Error msgs -> Alcotest.failf "self-test failed: %s" (String.concat "; " msgs)
-
 let suite =
   [
-    Alcotest.test_case "fixtures match embedded snippets" `Quick
-      test_fixtures_in_sync;
     Alcotest.test_case "positive fixtures trigger, negatives clean" `Quick
       test_rule_fixtures;
     Alcotest.test_case "every rule has a fixture case" `Quick
@@ -527,8 +473,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_json_roundtrip;
     Alcotest.test_case "JSON report rejects schema violations" `Quick
       test_json_rejects;
-    QCheck_alcotest.to_alcotest prop_sarif_roundtrip;
-    Alcotest.test_case "SARIF document shape" `Quick test_sarif_shape;
     Alcotest.test_case "seeded regression: unguarded block manager rejected"
       `Quick test_block_manager_regression;
     QCheck_alcotest.to_alcotest prop_declared_never_widened;
@@ -537,5 +481,4 @@ let suite =
     Alcotest.test_case "missing-mli pos/neg fixture trees" `Quick
       test_missing_mli_fixtures;
     Alcotest.test_case "rule registry lookups" `Quick test_explain_unknown_rule;
-    Alcotest.test_case "embedded self-test passes" `Quick test_selftest_passes;
   ]

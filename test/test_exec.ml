@@ -98,10 +98,7 @@ let test_pooled_csv_identical () =
 (* Each cell takes a ticket from a shared counter when it starts, so at
    jobs = 1 the tickets are the execution order. *)
 let test_longest_cost_first () =
-  let ticket =
-    Atomic.make 0
-    [@th.atomic "start order of the batch's cells; fetch_and_add only"]
-  in
+  let ticket = Atomic.make 0 in
   let costs = [ 1.0; 5.0; 3.0; 5.0; 0.0; 2.0 ] in
   let cells =
     List.mapi
@@ -129,9 +126,7 @@ let test_longest_cost_first () =
 let test_first_failure_by_submission () =
   List.iter
     (fun jobs ->
-      let ran =
-        Atomic.make 0 [@th.atomic "cells that finished; fetch_and_add only"]
-      in
+      let ran = Atomic.make 0 in
       let cells =
         List.init 8 (fun i ->
             let cost = if i = 5 then 10.0 else 1.0 in
