@@ -1,10 +1,7 @@
 open Th_sim
 module Obj_ = Th_objmodel.Heap_object
 module Device = Th_device.Device
-module Io_retry = Th_device.Io_retry
 module Page_cache = Th_device.Page_cache
-
-exception Out_of_h2_space
 
 type reclaim_mode = Dependency_lists | Region_groups
 
@@ -278,11 +275,11 @@ let flush_buffer t (r : region) =
     Clock.advance t.clock Clock.Major_gc
       (float_of_int r.buffer_fill *. t.costs.Costs.copy_byte_ns);
     match
-      Device.write ~checked:true t.device ~cat:Clock.Major_gc ~random:false
+      Device.write_checked t.device ~cat:Clock.Major_gc ~random:false
         r.buffer_fill
     with
-    | () -> r.buffer_fill <- 0
-    | exception Io_retry.Io_error _ ->
+    | Ok () -> r.buffer_fill <- 0
+    | Error _ ->
         (* A transient write failure outlasted the retry budget (e.g. a
            device-full window): the batch stays staged in DRAM and the
            flush is retried at the next compaction phase. The objects are
@@ -336,18 +333,19 @@ let seg_index_register t (r : region) (o : Obj_.t) =
     Vec.push bucket o
   done
 
-let open_region t ~label ~key =
-  let idx =
-    match Vec.pop t.free_regions with
-    | Some idx -> idx
-    | None ->
-        if t.next_fresh >= Array.length t.regions then raise Out_of_h2_space
-        else begin
-          let idx = t.next_fresh in
-          t.next_fresh <- t.next_fresh + 1;
-          idx
-        end
-  in
+(* Index of a reclaimed or never-used region, or -1 when H2 is full. *)
+let take_region t =
+  match Vec.pop t.free_regions with
+  | Some idx -> idx
+  | None ->
+      if t.next_fresh >= Array.length t.regions then -1
+      else begin
+        let idx = t.next_fresh in
+        t.next_fresh <- t.next_fresh + 1;
+        idx
+      end
+
+let open_region t ~label ~key idx =
   let r = t.regions.(idx) in
   r.label <- label;
   r.open_key <- key;
@@ -363,9 +361,7 @@ let open_region t ~label ~key =
   t.regions_allocated <- t.regions_allocated + 1;
   Hashtbl.replace t.open_by_key key idx;
   h2_instant t ~name:"region_open"
-    [ ("region", Th_trace.Event.Int idx); ("label", Th_trace.Event.Int label) ];
-  r
-[@@th.raises "Out_of_h2_space"]
+    [ ("region", Th_trace.Event.Int idx); ("label", Th_trace.Event.Int label) ]
 
 let alloc t ?group o ~label =
   (* The placement group keys the allocator bucket (and the region's
@@ -377,32 +373,36 @@ let alloc t ?group o ~label =
   if bytes > t.cfg.region_size then
     invalid_arg "H2.alloc: object larger than an H2 region";
   let key = bucket_of t ~label:glabel ~bytes in
-  let r =
+  let idx =
     match Hashtbl.find_opt t.open_by_key key with
     | Some idx when t.regions.(idx).label = glabel
                     && t.regions.(idx).open_key = key
                     && t.regions.(idx).top + bytes <= t.cfg.region_size ->
-        t.regions.(idx)
-    | Some idx ->
-        (* Region full (or was reclaimed and reused): open a fresh one.
-           The sealed region's promotion buffer drains with the others in
-           the compaction phase. *)
-        ignore idx;
-        open_region t ~label:glabel ~key
-    | None -> open_region t ~label:glabel ~key
+        idx
+    | Some _ | None ->
+        (* No open region, or it is full (or was reclaimed and reused):
+           open a fresh one. A sealed region's promotion buffer drains
+           with the others in the compaction phase. *)
+        let idx = take_region t in
+        if idx >= 0 then open_region t ~label:glabel ~key idx;
+        idx
   in
-  o.Obj_.loc <- Obj_.In_h2;
-  o.Obj_.h2_region <- r.idx;
-  o.Obj_.addr <- r.top;
-  r.top <- r.top + bytes;
-  Vec.push r.objects o;
-  seg_index_register t r o;
-  t.moves <- t.moves + 1;
-  t.bytes_moved <- t.bytes_moved + bytes;
-  (* Fill the promotion buffer; the compaction phase drains buffers in
-     device-friendly batches via {!flush_promotion_buffers}. *)
-  r.buffer_fill <- r.buffer_fill + bytes
-[@@th.raises "Out_of_h2_space"]
+  if idx < 0 then Error `Out_of_h2_space
+  else begin
+    let r = t.regions.(idx) in
+    o.Obj_.loc <- Obj_.In_h2;
+    o.Obj_.h2_region <- r.idx;
+    o.Obj_.addr <- r.top;
+    r.top <- r.top + bytes;
+    Vec.push r.objects o;
+    seg_index_register t r o;
+    t.moves <- t.moves + 1;
+    t.bytes_moved <- t.bytes_moved + bytes;
+    (* Fill the promotion buffer; the compaction phase drains buffers in
+       device-friendly batches via {!flush_promotion_buffers}. *)
+    r.buffer_fill <- r.buffer_fill + bytes;
+    Ok ()
+  end
 
 let flush_promotion_buffers t =
   for i = 0 to t.next_fresh - 1 do

@@ -9,8 +9,6 @@
     cross-region references. Backward references (H2 to H1) are tracked by
     the 4-state {!H2_card_table}. *)
 
-exception Out_of_h2_space
-
 type reclaim_mode =
   | Dependency_lists  (** per-region directed dependency lists (§3.3) *)
   | Region_groups
@@ -78,7 +76,7 @@ type stats = {
   minor_scan_time_ns : float;
       (** cumulative minor-GC time spent scanning H2 cards and objects *)
   degraded_moves : int;
-      (** compaction phases that hit [Out_of_h2_space] and fell back to
+      (** compaction phases that ran out of H2 regions and fell back to
           leaving the remaining tagged objects in H1 *)
   objects_deferred : int;
       (** marked objects left in H1 by those degraded compactions; they
@@ -138,14 +136,20 @@ val retag_deferred : t -> Th_objmodel.Heap_object.t -> unit
 
 (** {1 Allocation (major-GC compaction phase)} *)
 
-val alloc : t -> ?group:int -> Th_objmodel.Heap_object.t -> label:int -> unit
+val alloc :
+  t ->
+  ?group:int ->
+  Th_objmodel.Heap_object.t ->
+  label:int ->
+  (unit, [ `Out_of_h2_space ]) result
 (** Place an object in the open region of [label] (opening a new region if
     needed), set its location, and stage its bytes in the region's
     promotion buffer. Objects never span regions. [group] (default
     [label]) overrides the allocator bucket: placement policies that
     co-locate several labels in one region pass a shared group key.
-    Raises {!Out_of_h2_space} when no region is available, and
-    [Invalid_argument] if the object exceeds the region size. *)
+    Returns [Error `Out_of_h2_space] when no region is available (the
+    object is left untouched), and raises [Invalid_argument] if the
+    object exceeds the region size. *)
 
 val flush_promotion_buffers : t -> unit
 (** Drain all promotion buffers with batched sequential device writes,

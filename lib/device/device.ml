@@ -125,13 +125,13 @@ let write_cost_ns t ~random bytes =
    the injector. A failed attempt pays one request latency before the
    error comes back; spike/stall surcharges and timeout waits are recorded
    as fault penalty so a run satisfies
-   [total = pure costs + backoff + penalty]. Checked operations propagate
-   {!Io_retry.Io_error} after bounded retries; unchecked operations
-   (the kernel mmap path) classify exhaustion as a timeout, wait it out
-   and complete — the mutator never sees EIO. *)
-let perform t ~cat ~checked ~op ~cost_ns =
+   [total = pure costs + backoff + penalty]. Checked operations return the
+   {!Io_retry.error} after bounded retries; unchecked operations
+   ([~absorb:true], the kernel mmap path) classify exhaustion as a
+   timeout, wait it out and complete — the mutator never sees EIO. *)
+let perform t ~cat ~absorb ~op ~cost_ns =
   match t.faults with
-  | Some f when Fault.enabled f ->
+  | Some f when Fault.enabled f -> (
       let latency_ns, opname, outcome_of =
         match op with
         | `Read -> (t.params.read_latency_ns, "read", Fault.on_read)
@@ -169,68 +169,86 @@ let perform t ~cat ~checked ~op ~cost_ns =
         | Fault.Transient_error -> fail_attempt (opname ^ "_error")
         | Fault.Device_full -> fail_attempt "device_full"
       in
-      let go () =
+      match
         Io_retry.run t.retry ~clock:t.clock ~cat ~faults:f ~op:opname attempt
-      in
-      if checked then go ()
-      else begin
-        try go ()
-        with Io_retry.Io_error _ ->
+      with
+      | Error _ when absorb ->
           Th_sim.Clock.advance t.clock cat
             (t.retry.Io_retry.timeout_ns +. cost_ns);
-          Fault.note_penalty f t.retry.Io_retry.timeout_ns
-      end
-  | Some _ | None -> Th_sim.Clock.advance t.clock cat cost_ns
-[@@th.raises "Io_error(checked)"]
+          Fault.note_penalty f t.retry.Io_retry.timeout_ns;
+          Ok ()
+      | r -> r)
+  | Some _ | None ->
+      Th_sim.Clock.advance t.clock cat cost_ns;
+      Ok ()
 
 (* One complete event per operation, spanning queueing, fault penalties
    and retries. [bytes] is the exact amount charged to the traffic
-   counter, so {!Rollup} reproduces [stats] from the stream. *)
-let traced_op t ~name ~bytes run =
+   counter, so {!Rollup} reproduces [stats] from the stream. The event is
+   recorded after [perform] returns, whatever its result. *)
+let traced_op t ~name ~bytes ~cat ~absorb ~op ~cost_ns =
   match Th_sim.Clock.tracer t.clock with
-  | None -> run ()
+  | None -> perform t ~cat ~absorb ~op ~cost_ns
   | Some tr ->
       let ts = Th_sim.Clock.now_ns t.clock in
-      (* finally: the counters were already charged, so the event must be
-         recorded even when a checked operation escapes with Io_error. *)
-      Fun.protect run ~finally:(fun () ->
-          Th_trace.Recorder.complete tr ~ts
-            ~dur_ns:(Th_sim.Clock.now_ns t.clock -. ts)
-            ~cat:"device" ~name
-            ~args:[ ("bytes", Th_trace.Event.Int bytes) ]
-            ())
+      let r = perform t ~cat ~absorb ~op ~cost_ns in
+      Th_trace.Recorder.complete tr ~ts
+        ~dur_ns:(Th_sim.Clock.now_ns t.clock -. ts)
+        ~cat:"device" ~name
+        ~args:[ ("bytes", Th_trace.Event.Int bytes) ]
+        ();
+      r
 
-let read ?(checked = false) t ~cat ~random bytes =
+(* Each operation has one implementation, parameterised by [absorb]; the
+   exported unchecked function is the checked one with [Error] absorbed
+   as a charged timeout, so its result is always [Ok]. *)
+let read_op t ~absorb ~cat ~random bytes =
   if bytes > 0 then begin
     let charged = if random then round_to_pages t bytes else bytes in
     t.bytes_read <- t.bytes_read + charged;
     t.read_ops <- t.read_ops + 1;
-    traced_op t ~name:"read" ~bytes:charged (fun () ->
-        perform t ~cat ~checked ~op:`Read
-          ~cost_ns:(read_cost_ns t ~random bytes))
+    traced_op t ~name:"read" ~bytes:charged ~cat ~absorb ~op:`Read
+      ~cost_ns:(read_cost_ns t ~random bytes)
   end
-[@@th.raises "Io_error(checked)"]
+  else Ok ()
 
-let read_continuation ?(overlap = 1.0) ?(checked = false) t ~cat bytes =
+let continuation_op t ~absorb ~overlap ~cat bytes =
   if bytes > 0 then begin
     t.bytes_read <- t.bytes_read + bytes;
     t.read_ops <- t.read_ops + 1;
-    traced_op t ~name:"read" ~bytes (fun () ->
-        perform t ~cat ~checked ~op:`Read
-          ~cost_ns:(overlap *. transfer_ns bytes t.params.read_bw_gbps))
+    traced_op t ~name:"read" ~bytes ~cat ~absorb ~op:`Read
+      ~cost_ns:(overlap *. transfer_ns bytes t.params.read_bw_gbps)
   end
-[@@th.raises "Io_error(checked)"]
+  else Ok ()
 
-let write ?(checked = false) t ~cat ~random bytes =
+let write_op t ~absorb ~cat ~random bytes =
   if bytes > 0 then begin
     let charged = if random then round_to_pages t bytes else bytes in
     t.bytes_written <- t.bytes_written + charged;
     t.write_ops <- t.write_ops + 1;
-    traced_op t ~name:"write" ~bytes:charged (fun () ->
-        perform t ~cat ~checked ~op:`Write
-          ~cost_ns:(write_cost_ns t ~random bytes))
+    traced_op t ~name:"write" ~bytes:charged ~cat ~absorb ~op:`Write
+      ~cost_ns:(write_cost_ns t ~random bytes)
   end
-[@@th.raises "Io_error(checked)"]
+  else Ok ()
+
+let read_checked t ~cat ~random bytes =
+  read_op t ~absorb:false ~cat ~random bytes
+
+let read t ~cat ~random bytes =
+  match read_op t ~absorb:true ~cat ~random bytes with Ok () | Error _ -> ()
+
+let read_continuation_checked ?(overlap = 1.0) t ~cat bytes =
+  continuation_op t ~absorb:false ~overlap ~cat bytes
+
+let read_continuation ?(overlap = 1.0) t ~cat bytes =
+  match continuation_op t ~absorb:true ~overlap ~cat bytes with
+  | Ok () | Error _ -> ()
+
+let write_checked t ~cat ~random bytes =
+  write_op t ~absorb:false ~cat ~random bytes
+
+let write t ~cat ~random bytes =
+  match write_op t ~absorb:true ~cat ~random bytes with Ok () | Error _ -> ()
 
 let read_modify_write t ~cat bytes =
   read t ~cat ~random:true bytes;

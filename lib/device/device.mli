@@ -13,9 +13,11 @@
     stalls, device-full windows — and every fault-induced wait is charged
     to the simulated clock. Unchecked operations (the kernel mmap path)
     never fail: exhausted retries are classified as a timeout, charged,
-    and the request completes. [~checked:true] operations instead raise
-    {!Io_retry.Io_error} after bounded retries, for callers that can
-    recover (lineage recomputation, deferred flushes). *)
+    and the request completes. The [_checked] variants instead return the
+    {!Io_retry.error} after bounded retries, for callers that can recover
+    (lineage recomputation, deferred flushes). The two share one
+    implementation: the unchecked function is the checked one with
+    [Error] absorbed as a charged timeout. *)
 
 type kind =
   | Dram
@@ -64,27 +66,45 @@ val faults : t -> Th_sim.Fault.t option
 
 val page_size : t -> int
 
-val read :
-  ?checked:bool ->
-  t -> cat:Th_sim.Clock.category -> random:bool -> int -> unit
+val read : t -> cat:Th_sim.Clock.category -> random:bool -> int -> unit
 (** [read t ~cat ~random bytes] charges one read request of [bytes] bytes.
     [random] requests pay the full per-request latency and round the
     transfer up to page granularity (the paper's I/O amplification);
-    sequential requests are charged at bandwidth. With [checked] (default
-    false), exhausted fault retries raise {!Io_retry.Io_error} instead of
-    being absorbed as a charged timeout. *)
+    sequential requests are charged at bandwidth. Exhausted fault retries
+    are absorbed as a charged timeout. *)
 
-val write :
-  ?checked:bool ->
-  t -> cat:Th_sim.Clock.category -> random:bool -> int -> unit
+val read_checked :
+  t ->
+  cat:Th_sim.Clock.category ->
+  random:bool ->
+  int ->
+  (unit, Io_retry.error) result
+(** {!read}, but a request whose fault retries are exhausted (or cut
+    short by the watchdog) returns [Error] instead of waiting out a
+    timeout. *)
+
+val write : t -> cat:Th_sim.Clock.category -> random:bool -> int -> unit
+
+val write_checked :
+  t ->
+  cat:Th_sim.Clock.category ->
+  random:bool ->
+  int ->
+  (unit, Io_retry.error) result
 
 val read_continuation :
-  ?overlap:float -> ?checked:bool ->
-  t -> cat:Th_sim.Clock.category -> int -> unit
+  ?overlap:float -> t -> cat:Th_sim.Clock.category -> int -> unit
 (** Continuation of a detected sequential stream (OS readahead): charged
     at pure transfer bandwidth, without the per-request latency.
     [overlap] scales the charge below 1.0 when the transfer proceeds
     concurrently with useful work. *)
+
+val read_continuation_checked :
+  ?overlap:float ->
+  t ->
+  cat:Th_sim.Clock.category ->
+  int ->
+  (unit, Io_retry.error) result
 
 val read_modify_write :
   t -> cat:Th_sim.Clock.category -> int -> unit

@@ -28,7 +28,7 @@ let backoff_ns p ~attempt =
     Float.min p.max_backoff_ns
       (p.base_backoff_ns *. (p.backoff_multiplier ** float_of_int (attempt - 1)))
 
-exception Io_error of { op : string; attempts : int }
+type error = { op : string; attempts : int }
 
 let run policy ~clock ~cat ~faults ~op attempt =
   let recovery_instant name args =
@@ -47,11 +47,11 @@ let run policy ~clock ~cat ~faults ~op attempt =
         ("attempts", Th_trace.Event.Int (n + 1));
         ("waited_ns", Th_trace.Event.Float (Clock.now_ns clock -. started_ns));
       ];
-    raise (Io_error { op; attempts = n + 1 })
+    Error { op; attempts = n + 1 }
   in
   let rec go n =
     match attempt n with
-    | Ok v -> v
+    | Ok () -> Ok ()
     | Error `Transient ->
         let elapsed = Clock.now_ns clock -. started_ns in
         (* The watchdog bounds the whole episode, not one attempt: slow
@@ -65,7 +65,7 @@ let run policy ~clock ~cat ~faults ~op attempt =
               ("op", Th_trace.Event.Str op);
               ("attempts", Th_trace.Event.Int (n + 1));
             ];
-          raise (Io_error { op; attempts = n + 1 })
+          Error { op; attempts = n + 1 }
         end
         else begin
           let base = backoff_ns policy ~attempt:(n + 1) in
@@ -96,4 +96,3 @@ let run policy ~clock ~cat ~faults ~op attempt =
         end
   in
   go 0
-[@@th.raises "Io_error"]

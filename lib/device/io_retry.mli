@@ -10,15 +10,15 @@
     the jitter is exactly as reproducible as the faults themselves.
 
     Two bounds can end an episode early. When the attempt budget is
-    exhausted the loop raises {!Io_error}; checked callers recover by
+    exhausted the loop returns an {!error}; checked callers recover by
     recomputation or deferral, while the device's unchecked (kernel
-    mmap-path) operations catch it, classify the episode as a timeout,
-    charge the timeout wait and complete — the kernel page-fault path
-    never returns EIO to the mutator in this model, it waits. A finite
+    mmap-path) operations classify the episode as a timeout, charge the
+    timeout wait and complete — the kernel page-fault path never returns
+    EIO to the mutator in this model, it waits. A finite
     [episode_deadline_ns] additionally arms an I/O watchdog: an episode
     whose cumulative duration would exceed the deadline is classified as
     a watchdog timeout (counted and traced separately from retry
-    exhaustion) and raises {!Io_error} without waiting out the remaining
+    exhaustion) and returns an {!error} without waiting out the remaining
     budget, bounding how long any one checked operation can wedge. *)
 
 type policy = {
@@ -46,9 +46,9 @@ val backoff_ns : policy -> attempt:int -> float
 (** Nominal (pre-jitter) backoff charged before retry number [attempt]
     (1-based), capped at [max_backoff_ns]. *)
 
-exception Io_error of { op : string; attempts : int }
-(** Raised when every attempt of a retry loop failed, or the watchdog cut
-    the episode short. *)
+type error = { op : string; attempts : int }
+(** A retry episode that failed: every attempt of the loop failed, or the
+    watchdog cut the episode short. *)
 
 val run :
   policy ->
@@ -56,13 +56,14 @@ val run :
   cat:Th_sim.Clock.category ->
   faults:Th_sim.Fault.t ->
   op:string ->
-  (int -> ('a, [ `Transient ]) result) ->
-  'a
+  (int -> (unit, [ `Transient ]) result) ->
+  (unit, error) result
 (** [run policy ~clock ~cat ~faults ~op attempt] calls [attempt n] with
     n = 0, 1, ... until it succeeds, for at most [1 + max_retries]
     attempts. Each failure charges jittered exponential backoff to
     [clock] under [cat] and records the retry and its backoff in
-    [faults]; exhaustion raises {!Io_error}, as does blowing the
-    watchdog deadline (recorded via [Fault.note_watchdog] and a
+    [faults]; exhaustion returns [Error], as does blowing the watchdog
+    deadline (recorded via [Fault.note_watchdog] and a
     ["watchdog_timeout"] trace instant). The [attempt] callback charges
-    its own device time. *)
+    its own device time. The success value is [unit] so that [Ok ()] is
+    a static constant: a successful episode allocates nothing. *)

@@ -101,56 +101,97 @@ let insert t ~cat page ~dirty =
    accounted as mutator compute, so only a small residual is charged. *)
 let hit_cost_ns _t = 10.0
 
-let access ?(checked = false) t ~cat ~write ~offset ~len =
-  if len > 0 then begin
-    let first = offset / t.page_size in
-    let last = (offset + len - 1) / t.page_size in
-    (* Accumulate runs of consecutive misses so sequential faults are
-       charged as one streaming read. A miss continuing the previous
-       call's stream is charged at transfer bandwidth only: OS readahead
-       has already queued it. *)
-    let miss_run = ref 0 in
-    let run_start = ref 0 in
-    let flush_miss_run () =
-      if !miss_run > 0 then begin
-        let bytes = !miss_run * t.page_size in
-        if !run_start = t.last_miss_page + 1 then
-          (* Mutator-side streaming faults overlap with computation
-             (readahead prefetches while the application works); GC-side
-             scans stall the collector. *)
-          let overlap =
-            match cat with Th_sim.Clock.Other -> 0.35 | _ -> 1.0
-          in
-          Device.read_continuation t.device ~cat ~overlap ~checked bytes
-        else Device.read t.device ~cat ~random:(!miss_run = 1) ~checked bytes;
-        t.last_miss_page <- !run_start + !miss_run - 1;
-        miss_run := 0
-      end
+(* Fault in a run of [miss_run] consecutive missing pages starting at
+   [run_start] as one device read. A run continuing the previous miss
+   stream is charged at transfer bandwidth only: OS readahead has already
+   queued it. A checked read that fails leaves [last_miss_page] as it
+   was. *)
+let fetch_run t ~cat ~checked ~run_start ~miss_run =
+  if miss_run = 0 then Ok ()
+  else begin
+    let bytes = miss_run * t.page_size in
+    let r =
+      if run_start = t.last_miss_page + 1 then
+        (* Mutator-side streaming faults overlap with computation
+           (readahead prefetches while the application works); GC-side
+           scans stall the collector. *)
+        let overlap =
+          match cat with Th_sim.Clock.Other -> 0.35 | _ -> 1.0
+        in
+        if checked then
+          Device.read_continuation_checked t.device ~cat ~overlap bytes
+        else begin
+          Device.read_continuation t.device ~cat ~overlap bytes;
+          Ok ()
+        end
+      else
+        let random = miss_run = 1 in
+        if checked then Device.read_checked t.device ~cat ~random bytes
+        else begin
+          Device.read t.device ~cat ~random bytes;
+          Ok ()
+        end
     in
-    for page = first to last do
-      match Hashtbl.find_opt t.table page with
-      | Some n ->
-          flush_miss_run ();
-          t.hits <- t.hits + 1;
-          if write then n.dirty <- true;
-          touch_lru t n;
-          Th_sim.Clock.advance t.clock cat (hit_cost_ns t)
-      | None ->
-          t.misses <- t.misses + 1;
-          let whole_page_write =
-            write && offset <= page * t.page_size
-            && offset + len >= (page + 1) * t.page_size
-          in
-          if not whole_page_write then begin
-            if !miss_run = 0 then run_start := page;
-            miss_run := !miss_run + 1
-          end
-          else flush_miss_run ();
-          insert t ~cat page ~dirty:write
-    done;
-    flush_miss_run ()
+    (match r with
+    | Ok () -> t.last_miss_page <- run_start + miss_run - 1
+    | Error _ -> ());
+    r
   end
-[@@th.raises "Io_error(checked)"]
+
+(* Touch pages [page..last], accumulating runs of consecutive misses so
+   sequential faults are charged as one streaming read. A failed run
+   read ends the access: later pages are not touched. *)
+let rec access_pages t ~cat ~checked ~write ~offset ~len ~last page
+    run_start miss_run =
+  if page > last then fetch_run t ~cat ~checked ~run_start ~miss_run
+  else
+    match Hashtbl.find_opt t.table page with
+    | Some n -> (
+        match fetch_run t ~cat ~checked ~run_start ~miss_run with
+        | Error _ as e -> e
+        | Ok () ->
+            t.hits <- t.hits + 1;
+            if write then n.dirty <- true;
+            touch_lru t n;
+            Th_sim.Clock.advance t.clock cat (hit_cost_ns t);
+            access_pages t ~cat ~checked ~write ~offset ~len ~last (page + 1)
+              run_start 0)
+    | None ->
+        t.misses <- t.misses + 1;
+        let whole_page_write =
+          write && offset <= page * t.page_size
+          && offset + len >= (page + 1) * t.page_size
+        in
+        if not whole_page_write then begin
+          let run_start = if miss_run = 0 then page else run_start in
+          insert t ~cat page ~dirty:write;
+          access_pages t ~cat ~checked ~write ~offset ~len ~last (page + 1)
+            run_start (miss_run + 1)
+        end
+        else begin
+          match fetch_run t ~cat ~checked ~run_start ~miss_run with
+          | Error _ as e -> e
+          | Ok () ->
+              insert t ~cat page ~dirty:write;
+              access_pages t ~cat ~checked ~write ~offset ~len ~last
+                (page + 1) run_start 0
+        end
+
+(* One implementation for both entry points: the unchecked access is the
+   checked one with device errors absorbed, so it always returns [Ok]. *)
+let access_op t ~checked ~cat ~write ~offset ~len =
+  if len > 0 then
+    access_pages t ~cat ~checked ~write ~offset ~len
+      ~last:((offset + len - 1) / t.page_size)
+      (offset / t.page_size) 0 0
+  else Ok ()
+
+let access_checked t ~cat ~write ~offset ~len =
+  access_op t ~checked:true ~cat ~write ~offset ~len
+
+let access t ~cat ~write ~offset ~len =
+  match access_op t ~checked:false ~cat ~write ~offset ~len with
+  | Ok () | Error _ -> ()
 
 let invalidate_range t ~offset ~len =
   if len > 0 then begin

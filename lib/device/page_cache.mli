@@ -28,14 +28,23 @@ val device : t -> Device.t
 val capacity_pages : t -> int
 
 val access :
-  ?checked:bool ->
   t -> cat:Th_sim.Clock.category -> write:bool -> offset:int -> len:int -> unit
 (** [access t ~cat ~write ~offset ~len] touches the byte range, faulting
     missing pages and charging the clock. A whole-page-aligned write skips
-    the fetch (write-allocate without read). With [checked] (default
-    false), a miss whose device read exhausts its fault retries raises
-    {!Io_retry.Io_error}; callers recover by recomputing the lost data.
-    Unchecked accesses never fail (the kernel fault path waits instead). *)
+    the fetch (write-allocate without read). Never fails: a miss whose
+    device read exhausts its fault retries waits out a timeout instead
+    (the kernel fault path). *)
+
+val access_checked :
+  t ->
+  cat:Th_sim.Clock.category ->
+  write:bool ->
+  offset:int ->
+  len:int ->
+  (unit, Io_retry.error) result
+(** {!access}, but a miss run whose device read exhausts its fault
+    retries returns [Error]; callers recover by recomputing the lost
+    data. The access stops at that run: later pages are not touched. *)
 
 val invalidate_range : t -> offset:int -> len:int -> unit
 (** Drop pages without writeback; used when the backing region is freed

@@ -133,11 +133,11 @@ let ensure_resident t (g : Graph.t) (p : Graph.partition) =
       | None -> 0
     in
     (match
-       Page_cache.access t.cache ~checked:true ~cat:Clock.Serde_io
-         ~write:false ~offset ~len:p.Graph.offloaded_edge_bytes
+       Page_cache.access_checked t.cache ~cat:Clock.Serde_io ~write:false
+         ~offset ~len:p.Graph.offloaded_edge_bytes
      with
-    | () -> ()
-    | exception Th_device.Io_retry.Io_error _ ->
+    | Ok () -> ()
+    | Error _ ->
         (* The off-heap copy stayed unreadable past the retry budget:
            rebuild the partition from the input graph instead of failing
            the superstep. The allocation loop below re-creates the edge

@@ -531,10 +531,10 @@ let major_gc (rt : Rt.t) =
             charge_major rt (costs.Costs.mark_obj_ns *. 0.5);
             let loc = o.Obj_.loc and bytes = Obj_.total_size o in
             match H2.alloc h2 ~group o ~label:o.Obj_.label with
-            | () ->
+            | Ok () ->
                 Vec.push prev_locs (o, loc, bytes);
                 Vec.push moved o
-            | exception H2.Out_of_h2_space ->
+            | Error `Out_of_h2_space ->
                 h2_full := true;
                 Vec.push deferred_objs o
           end)

@@ -19,5 +19,6 @@ val minor_gc : Rt.t -> bool
 
 val major_gc : Rt.t -> unit
 (** Run a full collection. Raises {!Rt.Out_of_memory} when live data does
-    not fit in the old generation even after collection, and
-    {!Th_core.H2.Out_of_h2_space} when H2 is exhausted. *)
+    not fit in the old generation even after collection. An exhausted H2
+    does not fail the collection: the objects that did not fit stay in H1
+    and are retried at the next major GC. *)

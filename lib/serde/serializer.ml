@@ -2,8 +2,6 @@ open Th_sim
 module Obj_ = Th_objmodel.Heap_object
 module Runtime = Th_psgc.Runtime
 
-exception Not_serializable of string
-
 type serialized = { bytes : int; objects : int; elem_sizes : int list }
 
 let serialized_fraction = 0.7
@@ -36,47 +34,40 @@ let alloc_temps rt ~bytes =
   let rem = temp_bytes mod temp_chunk_bytes in
   if rem > 0 then ignore (Runtime.alloc rt ~kind:Obj_.Temp ~size:rem ())
 
-let closure_of root =
+(* Walk the closure of [root] depth-first, root first. The walk stops at
+   the first object of kind [Jvm_metadata]: such a closure cannot be
+   serialized, and nothing has been charged yet. *)
+let serialize rt root =
   let seen = Hashtbl.create 64 in
-  let acc = ref [] in
   let stack = Stack.create () in
   Stack.push root stack;
-  while not (Stack.is_empty stack) do
+  let sizes = ref [] and payload = ref 0 and objects = ref 0 in
+  let metadata = ref (-1) in
+  while !metadata < 0 && not (Stack.is_empty stack) do
     let o = Stack.pop stack in
     if not (Hashtbl.mem seen o.Obj_.id) then begin
       Hashtbl.replace seen o.Obj_.id ();
-      (match o.Obj_.kind with
-      | Obj_.Jvm_metadata ->
-          raise
-            (Not_serializable
-               (Printf.sprintf "object #%d references JVM metadata" o.Obj_.id))
-      | Obj_.Weak_reference | Obj_.Data | Obj_.Array_data | Obj_.Temp -> ());
-      acc := o :: !acc;
-      Obj_.iter_refs (fun c -> Stack.push c stack) o
+      match o.Obj_.kind with
+      | Obj_.Jvm_metadata -> metadata := o.Obj_.id
+      | Obj_.Weak_reference | Obj_.Data | Obj_.Array_data | Obj_.Temp ->
+          sizes := o.Obj_.size :: !sizes;
+          payload := !payload + o.Obj_.size;
+          incr objects;
+          Obj_.iter_refs (fun c -> Stack.push c stack) o
     end
   done;
-  (* The root was visited first; keep it at the head of the list. *)
-  List.rev !acc
-[@@th.raises "Not_serializable"]
-
-let serialize rt root =
-  let objs = closure_of root in
-  let payload =
-    List.fold_left (fun acc (o : Obj_.t) -> acc + o.Obj_.size) 0 objs
-  in
-  let effective =
-    float_of_int payload *. (1.0 -. transient_fraction) *. serialized_fraction
-  in
-  let bytes = int_of_float effective in
-  let objects = List.length objs in
-  charge_sd rt ~bytes:payload ~objects;
-  alloc_temps rt ~bytes;
-  {
-    bytes;
-    objects;
-    elem_sizes = List.map (fun (o : Obj_.t) -> o.Obj_.size) objs;
-  }
-[@@th.raises "Not_serializable"]
+  if !metadata >= 0 then
+    Error (Printf.sprintf "object #%d references JVM metadata" !metadata)
+  else begin
+    let effective =
+      float_of_int !payload *. (1.0 -. transient_fraction)
+      *. serialized_fraction
+    in
+    let bytes = int_of_float effective in
+    charge_sd rt ~bytes:!payload ~objects:!objects;
+    alloc_temps rt ~bytes;
+    Ok { bytes; objects = !objects; elem_sizes = List.rev !sizes }
+  end
 
 (* Allocate the group's objects back on the heap; shared by the normal
    deserialization path and by lineage-style recomputation (which charges

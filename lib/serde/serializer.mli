@@ -13,8 +13,6 @@
       refuse objects whose closure contains JVM metadata, mirroring the
       "only serializable objects" restriction. *)
 
-exception Not_serializable of string
-
 type serialized = {
   bytes : int;  (** size of the byte stream *)
   objects : int;  (** objects in the serialized closure *)
@@ -28,10 +26,11 @@ val transient_fraction : float
 (** Share of payload held in transient fields, skipped by the stream. *)
 
 val serialize :
-  Th_psgc.Runtime.t -> Th_objmodel.Heap_object.t -> serialized
+  Th_psgc.Runtime.t -> Th_objmodel.Heap_object.t -> (serialized, string) result
 (** Serialize the closure rooted at the given object. Charges S/D time and
-    allocates temporary buffers. Raises {!Not_serializable} if the closure
-    contains JVM metadata. *)
+    allocates temporary buffers. Returns [Error] naming the offending
+    object, with nothing charged, if the closure contains JVM
+    metadata. *)
 
 val deserialize :
   Th_psgc.Runtime.t -> serialized -> Th_objmodel.Heap_object.t

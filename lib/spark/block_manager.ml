@@ -101,7 +101,7 @@ let put t ~rdd_id ~pidx group =
         end
         else begin
           match Serializer.serialize rt group with
-          | ser ->
+          | Ok ser ->
               let cache = Option.get t.ctx.Context.offheap in
               let offset = t.offheap_top in
               t.offheap_top <- t.offheap_top + ser.Serializer.bytes;
@@ -110,7 +110,7 @@ let put t ~rdd_id ~pidx group =
               (* The deserialized heap copy is dropped: it becomes garbage
                  for the next collection. *)
               E_off_heap { offset; ser }
-          | exception Serializer.Not_serializable _ ->
+          | Error _ ->
               (* A group that reaches JVM metadata cannot go off-heap.
                  Keep the partition on the heap past the budget rather
                  than failing the task: caching is an optimisation, and a
@@ -138,11 +138,11 @@ let get ?(hold = false) t ~rdd_id ~pidx ~consume =
       let cache = Option.get t.ctx.Context.offheap in
       let group =
         match
-          Page_cache.access cache ~checked:true ~cat:Clock.Serde_io
-            ~write:false ~offset ~len:ser.Serializer.bytes
+          Page_cache.access_checked cache ~cat:Clock.Serde_io ~write:false
+            ~offset ~len:ser.Serializer.bytes
         with
-        | () -> Serializer.deserialize rt ser
-        | exception Th_device.Io_retry.Io_error _ ->
+        | Ok () -> Serializer.deserialize rt ser
+        | Error _ ->
             (* The serialized copy is unreadable past the retry budget:
                recompute the partition from its lineage instead of
                failing the task (RDD fault tolerance). *)

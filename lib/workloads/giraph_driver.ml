@@ -16,5 +16,3 @@ let run ~label rt ~mode ?ooc_device ?h2_device ?faults ?(scale = 1.0)
   with
   | Runtime.Out_of_memory reason ->
       Run_result.oom ~reason ?h2_device ?faults ~label rt
-  | Th_core.H2.Out_of_h2_space ->
-      Run_result.oom ~reason:"H2 exhausted" ?h2_device ?faults ~label rt

@@ -130,5 +130,3 @@ let run ?(dataset_scale = 1.0) ?h2_device ?faults ~label ctx
   with
   | Runtime.Out_of_memory reason ->
       Run_result.oom ~reason ?h2_device ?faults ~label rt
-  | Th_core.H2.Out_of_h2_space ->
-      Run_result.oom ~reason:"H2 exhausted" ?h2_device ?faults ~label rt

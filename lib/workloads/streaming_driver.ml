@@ -127,7 +127,7 @@ let run ?h2_device ?faults ?monitor ~label rt (p : profile) =
         match monitor with
         | Some m when not (Monitor.h2_allowed m) -> (
             match Serializer.serialize rt root with
-            | ser ->
+            | Ok ser ->
                 Monitor.note_fallback m ~bytes:ser.Serializer.bytes;
                 stream_instant rt ~name:"batch_offheap"
                   [
@@ -142,7 +142,7 @@ let run ?h2_device ?faults ?monitor ~label rt (p : profile) =
                 (* The heap copy is dropped: garbage at the next GC. *)
                 Runtime.remove_root rt root;
                 Serialized { ser; batch }
-            | exception Serializer.Not_serializable _ ->
+            | Error _ ->
                 Monitor.note_deferred m;
                 stream_instant rt ~name:"batch_deferred"
                   [ ("batch", Th_trace.Event.Int batch) ];
@@ -187,11 +187,11 @@ let run ?h2_device ?faults ?monitor ~label rt (p : profile) =
               | None -> Serializer.deserialize rt ser
               | Some d -> (
                   match
-                    Device.read d ~checked:true ~cat:Clock.Serde_io
-                      ~random:false ser.Serializer.bytes
+                    Device.read_checked d ~cat:Clock.Serde_io ~random:false
+                      ser.Serializer.bytes
                   with
-                  | () -> Serializer.deserialize rt ser
-                  | exception Th_device.Io_retry.Io_error _ ->
+                  | Ok () -> Serializer.deserialize rt ser
+                  | Error _ ->
                       (match faults with
                       | Some f -> Fault.note_recompute f
                       | None -> ());
@@ -217,6 +217,3 @@ let run ?h2_device ?faults ?monitor ~label rt (p : profile) =
   with
   | Runtime.Out_of_memory reason ->
       Run_result.oom ~reason ?h2_device ?faults ?monitor ~label rt
-  | Th_core.H2.Out_of_h2_space ->
-      Run_result.oom ~reason:"H2 exhausted" ?h2_device ?faults ?monitor ~label
-        rt

@@ -124,7 +124,7 @@ let execute ?(config = base_config) ?rset_mode ?on_runtime program =
          | Minor -> Runtime.minor_gc rt
          | Major -> Runtime.major_gc rt)
        program
-   with Runtime.Out_of_memory _ | H2.Out_of_h2_space -> ());
+   with Runtime.Out_of_memory _ -> ());
   (rt, table, pinned)
 
 let roots_of rt = Roots.to_list (Runtime.roots rt)

@@ -1,10 +1,5 @@
 (* Tests for the H2 region heap: allocation, labels, dependency lists,
-   liveness propagation, bulk reclamation, Union-Find mode, metadata.
-
-   Test bodies call H2.alloc bare: alcotest isolates each case, so an
-   Out_of_h2_space escaping a fixture fails that one case with a
-   backtrace — exactly what a sized-down fixture should do. *)
-[@@@th.allow "fault-barrier"]
+   liveness propagation, bulk reclamation, Union-Find mode, metadata. *)
 
 open Th_sim
 module Obj_ = Th_objmodel.Heap_object
@@ -16,6 +11,13 @@ let next_id = ref 0
 let mk ?(size = 1024) () =
   incr next_id;
   Obj_.create ~id:!next_id ~size ()
+
+(* Fixtures are sized so every allocation fits: running out of H2 fails
+   the case. *)
+let alloc h2 o ~label =
+  match H2.alloc h2 o ~label with
+  | Ok () -> ()
+  | Error `Out_of_h2_space -> Alcotest.fail "H2.alloc: out of H2 space"
 
 let fresh ?(config = H2.default_config) () =
   let clock = Clock.create () in
@@ -29,8 +31,8 @@ let small_config =
 let test_alloc_assigns_region_and_addr () =
   let h2 = fresh () in
   let a = mk () and b = mk () in
-  H2.alloc h2 a ~label:1;
-  H2.alloc h2 b ~label:1;
+  alloc h2 a ~label:1;
+  alloc h2 b ~label:1;
   Alcotest.(check bool) "same region for same label" true
     (a.Obj_.h2_region = b.Obj_.h2_region);
   Alcotest.(check bool) "addresses ascend" true (b.Obj_.addr > a.Obj_.addr);
@@ -39,15 +41,15 @@ let test_alloc_assigns_region_and_addr () =
 let test_labels_get_distinct_regions () =
   let h2 = fresh () in
   let a = mk () and b = mk () in
-  H2.alloc h2 a ~label:1;
-  H2.alloc h2 b ~label:2;
+  alloc h2 a ~label:1;
+  alloc h2 b ~label:2;
   Alcotest.(check bool) "different regions" true
     (a.Obj_.h2_region <> b.Obj_.h2_region)
 
 let test_region_overflow_opens_new_region () =
   let h2 = fresh ~config:small_config () in
   let objs = List.init 80 (fun _ -> mk ~size:1024 ()) in
-  List.iter (fun o -> H2.alloc h2 o ~label:5) objs;
+  List.iter (fun o -> alloc h2 o ~label:5) objs;
   let s = H2.stats h2 in
   Alcotest.(check bool) "several regions opened" true
     (s.H2.regions_allocated >= 2);
@@ -63,23 +65,24 @@ let test_object_bigger_than_region_rejected () =
   let o = mk ~size:(Size.kib 128) () in
   Alcotest.check_raises "too big"
     (Invalid_argument "H2.alloc: object larger than an H2 region") (fun () ->
-      H2.alloc h2 o ~label:1)
+      alloc h2 o ~label:1)
 
 let test_h2_exhaustion () =
   let h2 = fresh ~config:small_config () in
-  let blew = ref false in
-  (try
-     for _ = 1 to 1000 do
-       H2.alloc h2 (mk ~size:(Size.kib 32) ()) ~label:9
-     done
-   with H2.Out_of_h2_space -> blew := true);
-  Alcotest.(check bool) "exhaustion raises" true !blew
+  let rec fill n =
+    if n = 0 then false
+    else
+      match H2.alloc h2 (mk ~size:(Size.kib 32) ()) ~label:9 with
+      | Ok () -> fill (n - 1)
+      | Error `Out_of_h2_space -> true
+  in
+  Alcotest.(check bool) "exhaustion returns Error" true (fill 1000)
 
 let test_liveness_and_reclaim () =
   let h2 = fresh () in
   let a = mk () and b = mk () in
-  H2.alloc h2 a ~label:1;
-  H2.alloc h2 b ~label:2;
+  alloc h2 a ~label:1;
+  alloc h2 b ~label:2;
   H2.clear_live_bits h2;
   H2.mark_live_from_h1 h2 a;
   let freed = H2.free_dead_regions h2 ~on_free:(fun o -> o.Obj_.loc <- Obj_.Freed) in
@@ -91,9 +94,9 @@ let test_dependency_propagation () =
   (* Region X -> Y -> Z: marking X live keeps Y and Z. *)
   let h2 = fresh () in
   let x = mk () and y = mk () and z = mk () in
-  H2.alloc h2 x ~label:1;
-  H2.alloc h2 y ~label:2;
-  H2.alloc h2 z ~label:3;
+  alloc h2 x ~label:1;
+  alloc h2 y ~label:2;
+  alloc h2 z ~label:3;
   H2.add_dependency h2 ~src_region:x.Obj_.h2_region ~dst_region:y.Obj_.h2_region;
   H2.add_dependency h2 ~src_region:y.Obj_.h2_region ~dst_region:z.Obj_.h2_region;
   H2.clear_live_bits h2;
@@ -106,9 +109,9 @@ let test_dependency_direction_matters () =
      (the paper's argument for directed dependency lists, §3.3). *)
   let h2 = fresh () in
   let x = mk () and y = mk () and z = mk () in
-  H2.alloc h2 x ~label:1;
-  H2.alloc h2 y ~label:2;
-  H2.alloc h2 z ~label:3;
+  alloc h2 x ~label:1;
+  alloc h2 y ~label:2;
+  alloc h2 z ~label:3;
   H2.add_dependency h2 ~src_region:x.Obj_.h2_region ~dst_region:y.Obj_.h2_region;
   H2.add_dependency h2 ~src_region:y.Obj_.h2_region ~dst_region:z.Obj_.h2_region;
   H2.clear_live_bits h2;
@@ -123,9 +126,9 @@ let test_union_find_conservative () =
      alive when Z is referenced — direction is lost. *)
   let h2 = fresh ~config:uf_config () in
   let x = mk () and y = mk () and z = mk () in
-  H2.alloc h2 x ~label:1;
-  H2.alloc h2 y ~label:2;
-  H2.alloc h2 z ~label:3;
+  alloc h2 x ~label:1;
+  alloc h2 y ~label:2;
+  alloc h2 z ~label:3;
   H2.add_dependency h2 ~src_region:x.Obj_.h2_region ~dst_region:y.Obj_.h2_region;
   H2.add_dependency h2 ~src_region:y.Obj_.h2_region ~dst_region:z.Obj_.h2_region;
   H2.clear_live_bits h2;
@@ -136,8 +139,8 @@ let test_union_find_conservative () =
 let test_union_find_dead_group_reclaimed () =
   let h2 = fresh ~config:uf_config () in
   let x = mk () and y = mk () in
-  H2.alloc h2 x ~label:1;
-  H2.alloc h2 y ~label:2;
+  alloc h2 x ~label:1;
+  alloc h2 y ~label:2;
   H2.add_dependency h2 ~src_region:x.Obj_.h2_region ~dst_region:y.Obj_.h2_region;
   H2.clear_live_bits h2;
   Alcotest.(check int) "dead group reclaimed whole" 2
@@ -146,19 +149,19 @@ let test_union_find_dead_group_reclaimed () =
 let test_reclaimed_region_reused () =
   let h2 = fresh ~config:small_config () in
   let a = mk () in
-  H2.alloc h2 a ~label:1;
+  alloc h2 a ~label:1;
   let region = a.Obj_.h2_region in
   H2.clear_live_bits h2;
   ignore (H2.free_dead_regions h2 ~on_free:(fun o -> o.Obj_.loc <- Obj_.Freed));
   let b = mk () in
-  H2.alloc h2 b ~label:7;
+  alloc h2 b ~label:7;
   Alcotest.(check int) "free region reused" region b.Obj_.h2_region;
   Alcotest.(check int) "fresh allocation pointer" 0 b.Obj_.addr
 
 let test_backward_ref_marks_card () =
   let h2 = fresh () in
   let a = mk () in
-  H2.alloc h2 a ~label:1;
+  alloc h2 a ~label:1;
   let ct = H2.card_table h2 in
   Alcotest.(check int) "clean initially" 0 (Th_core.H2_card_table.non_clean_count ct);
   H2.note_backward_ref h2 a;
@@ -191,7 +194,7 @@ let test_tagged_roots_self_clean () =
   let h2 = fresh () in
   let a = mk () in
   H2.h2_tag_root h2 a ~label:11;
-  H2.alloc h2 a ~label:11;
+  alloc h2 a ~label:11;
   Alcotest.(check int) "moved roots drop off the tagged list" 0
     (List.length (H2.tagged_roots h2))
 
@@ -203,7 +206,7 @@ let test_promotion_buffers_charge_compaction () =
       ~dr2_bytes:(Size.mib 8) ()
   in
   for _ = 1 to 100 do
-    H2.alloc h2 (mk ()) ~label:1
+    alloc h2 (mk ()) ~label:1
   done;
   Alcotest.(check (float 0.0)) "placement itself charges no device time" 0.0
     (Clock.breakdown clock).Clock.major_gc_ns;
@@ -225,7 +228,7 @@ let test_metadata_table5_values () =
 let test_stats_wasted_space_small () =
   let h2 = fresh ~config:small_config () in
   for _ = 1 to 60 do
-    H2.alloc h2 (mk ~size:1000 ()) ~label:1
+    alloc h2 (mk ~size:1000 ()) ~label:1
   done;
   let s = H2.stats h2 in
   (* Sealed-region waste stays below one object's size per region (§7.3:
@@ -236,7 +239,7 @@ let test_stats_wasted_space_small () =
 let test_region_samples_on_reclaim () =
   let h2 = fresh () in
   let a = mk () in
-  H2.alloc h2 a ~label:1;
+  alloc h2 a ~label:1;
   H2.clear_live_bits h2;
   ignore (H2.free_dead_regions h2 ~on_free:(fun o -> o.Obj_.loc <- Obj_.Freed));
   let samples = H2.harvest_region_samples h2 ~is_live:(fun _ -> true) in
@@ -252,16 +255,16 @@ let test_size_segregated_buckets () =
   let h2 = fresh ~config:cfg () in
   let small = mk ~size:512 () in
   let large = mk ~size:(small_config.H2.region_size / 4) () in
-  H2.alloc h2 small ~label:1;
-  H2.alloc h2 large ~label:1;
+  alloc h2 small ~label:1;
+  alloc h2 large ~label:1;
   Alcotest.(check bool) "same label, different regions by size" true
     (small.Obj_.h2_region <> large.Obj_.h2_region);
   (* Under the default policy they share the label's open region. *)
   let h2' = fresh ~config:small_config () in
   let small' = mk ~size:512 () in
   let large' = mk ~size:(small_config.H2.region_size / 4) () in
-  H2.alloc h2' small' ~label:1;
-  H2.alloc h2' large' ~label:1;
+  alloc h2' small' ~label:1;
+  alloc h2' large' ~label:1;
   Alcotest.(check bool) "label-only shares the region" true
     (small'.Obj_.h2_region = large'.Obj_.h2_region)
 

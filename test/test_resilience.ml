@@ -122,9 +122,9 @@ let test_watchdog_bounds_episode () =
     { Io_retry.default with max_retries = 64; episode_deadline_ns = 50_000.0 }
   in
   let device = Device.create ~faults:inj ~retry clock Device.Nvme_ssd in
-  (match Device.read ~checked:true device ~cat:Clock.Serde_io ~random:true 4096 with
-  | () -> Alcotest.fail "checked read succeeded under 100% error rate"
-  | exception Io_retry.Io_error { op; attempts } ->
+  (match Device.read_checked device ~cat:Clock.Serde_io ~random:true 4096 with
+  | Ok () -> Alcotest.fail "checked read succeeded under 100% error rate"
+  | Error { Io_retry.op; attempts } ->
       Alcotest.(check string) "op name" "read" op;
       Alcotest.(check bool) "gave up before the retry budget" true
         (attempts < 1 + retry.Io_retry.max_retries));
@@ -149,9 +149,9 @@ let test_watchdog_disarmed_by_default () =
     Fault.create { Fault.zero with Fault.seed = 3L; read_error_rate = 1.0 }
   in
   let device = Device.create ~faults:inj clock Device.Nvme_ssd in
-  (match Device.read ~checked:true device ~cat:Clock.Serde_io ~random:true 4096 with
-  | () -> Alcotest.fail "checked read succeeded under 100% error rate"
-  | exception Io_retry.Io_error { attempts; _ } ->
+  (match Device.read_checked device ~cat:Clock.Serde_io ~random:true 4096 with
+  | Ok () -> Alcotest.fail "checked read succeeded under 100% error rate"
+  | Error { Io_retry.attempts; _ } ->
       Alcotest.(check int) "full retry budget used"
         (1 + Io_retry.default.Io_retry.max_retries)
         attempts);

@@ -1,9 +1,4 @@
-(* Tests for the Kryo-like serializer model.
-
-   Test bodies call Serializer.serialize bare: alcotest isolates each
-   case, so a Not_serializable escaping a fixture fails that one case
-   with a backtrace — the suite needs no fault barrier of its own. *)
-[@@@th.allow "fault-barrier"]
+(* Tests for the Kryo-like serializer model. *)
 
 open Th_sim
 module Obj_ = Th_objmodel.Heap_object
@@ -15,6 +10,12 @@ let fresh_rt ?(heap_bytes = Size.mib 16) () =
   let clock = Clock.create () in
   let heap = H1_heap.create ~heap_bytes () in
   Runtime.create ~clock ~costs:Costs.default ~heap ()
+
+(* Fixture groups hold no JVM metadata: an [Error] fails the case. *)
+let serialize rt root =
+  match Serializer.serialize rt root with
+  | Ok s -> s
+  | Error e -> Alcotest.failf "Serializer.serialize: %s" e
 
 let build_group rt ~elems ~elem_size =
   let root = Runtime.alloc rt ~size:128 () in
@@ -28,7 +29,7 @@ let build_group rt ~elems ~elem_size =
 let test_serialize_counts_closure () =
   let rt = fresh_rt () in
   let root = build_group rt ~elems:10 ~elem_size:100 in
-  let s = Serializer.serialize rt root in
+  let s = serialize rt root in
   Alcotest.(check int) "root + 10 elements" 11 s.Serializer.objects;
   Alcotest.(check bool) "stream smaller than heap form" true
     (s.Serializer.bytes < 128 + (10 * 100))
@@ -37,14 +38,14 @@ let test_serialize_charges_sd_time () =
   let rt = fresh_rt () in
   let root = build_group rt ~elems:10 ~elem_size:1000 in
   let before = (Clock.breakdown (Runtime.clock rt)).Clock.serde_io_ns in
-  ignore (Serializer.serialize rt root);
+  ignore (serialize rt root);
   Alcotest.(check bool) "S/D time charged" true
     ((Clock.breakdown (Runtime.clock rt)).Clock.serde_io_ns > before)
 
 let test_roundtrip_preserves_shape () =
   let rt = fresh_rt () in
   let root = build_group rt ~elems:20 ~elem_size:256 in
-  let s = Serializer.serialize rt root in
+  let s = serialize rt root in
   let root' = Serializer.deserialize rt s in
   Alcotest.(check int) "same element count" (Obj_.ref_count root)
     (Obj_.ref_count root');
@@ -56,7 +57,7 @@ let test_roundtrip_preserves_shape () =
 let test_deserialize_returns_pinned () =
   let rt = fresh_rt () in
   let root = build_group rt ~elems:5 ~elem_size:100 in
-  let s = Serializer.serialize rt root in
+  let s = serialize rt root in
   let root' = Serializer.deserialize rt s in
   (* Survives GC without any other anchor. *)
   Runtime.major_gc rt;
@@ -71,18 +72,22 @@ let test_serialize_rejects_jvm_metadata () =
   Runtime.add_root rt root;
   let klass = Runtime.alloc rt ~kind:Obj_.Jvm_metadata ~size:64 () in
   Runtime.write_ref rt root klass;
-  Alcotest.(check bool) "raises Not_serializable" true
-    (try
-       ignore (Serializer.serialize rt root);
-       false
-     with Serializer.Not_serializable _ -> true)
+  let before = Clock.total_ns (Clock.breakdown (Runtime.clock rt)) in
+  (match Serializer.serialize rt root with
+  | Ok _ -> Alcotest.fail "closure with JVM metadata serialized"
+  | Error e ->
+      Alcotest.(check string) "names the object"
+        (Printf.sprintf "object #%d references JVM metadata" klass.Obj_.id)
+        e);
+  Alcotest.(check (float 0.0)) "nothing charged" before
+    (Clock.total_ns (Clock.breakdown (Runtime.clock rt)))
 
 let test_serde_allocates_temporaries () =
   let rt = fresh_rt () in
   let root = build_group rt ~elems:200 ~elem_size:1024 in
   let heap = Runtime.heap rt in
   let used_before = H1_heap.live_bytes heap in
-  ignore (Serializer.serialize rt root);
+  ignore (serialize rt root);
   (* Temp buffers are dead but occupy eden until the next minor GC. *)
   Alcotest.(check bool) "temporary heap pressure" true
     (H1_heap.live_bytes heap > used_before)

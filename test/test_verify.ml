@@ -201,8 +201,7 @@ let attach_via_hook level vref rt = vref := Some (Verify.attach rt level)
 let finish rt =
   (* Trailing collection so After_minor/After_major safepoints fire on
      the final state too; programs may already be out of memory. *)
-  try Runtime.major_gc rt with
-  | Runtime.Out_of_memory _ | H2.Out_of_h2_space -> ()
+  try Runtime.major_gc rt with Runtime.Out_of_memory _ -> ()
 
 let clean_run ?config level program =
   let vref = ref None in
@@ -245,7 +244,7 @@ let prop_clean_region_groups =
        Verify.Paranoid)
 
 (* A single 64 KiB region exhausts almost immediately: the run degrades
-   (Out_of_h2_space handled by the collector) yet must stay invariant-
+   (the collector leaves what does not fit in H1) yet must stay invariant-
    clean throughout. *)
 let prop_degraded_clean =
   QCheck.Test.make ~name:"H2-exhausted (degraded) runs verify clean" ~count:40
