@@ -25,11 +25,7 @@ let run ~path ~format =
       setup.Setups.ctx p
   in
   let events = Th_trace.Export.merge [ tr ] in
-  let data =
-    match format with
-    | `Chrome -> Th_trace.Export.to_chrome_json events
-    | `Text -> Th_trace.Export.to_text events
-  in
+  let data = Th_trace.Export.export format events in
   let oc = open_out path in
   output_string oc data;
   close_out oc;

@@ -311,10 +311,21 @@ let trace_file =
            With several workloads each gets its own trace lane, merged \
            in argument order — the file does not depend on $(b,--jobs).")
 
+let trace_format_conv =
+  let parse s =
+    match Th_trace.Export.format_of_string s with
+    | Result.Ok f -> Ok f
+    | Result.Error msg -> Error (`Msg msg)
+  in
+  Arg.conv ~docv:"FORMAT"
+    ( parse,
+      fun ppf f -> Format.fprintf ppf "%s" (Th_trace.Export.format_to_string f)
+    )
+
 let trace_format =
   Arg.(
     value
-    & opt (enum [ ("chrome", `Chrome); ("text", `Text) ]) `Chrome
+    & opt trace_format_conv `Chrome
     & info [ "trace-format" ] ~docv:"FORMAT"
         ~doc:
           "'chrome' (trace-event JSON, loadable in Perfetto or \
@@ -323,11 +334,7 @@ let trace_format =
 
 let write_trace ~path ~format recorders =
   let events = Th_trace.Export.merge recorders in
-  let data =
-    match format with
-    | `Chrome -> Th_trace.Export.to_chrome_json events
-    | `Text -> Th_trace.Export.to_text events
-  in
+  let data = Th_trace.Export.export format events in
   let oc = open_out path in
   output_string oc data;
   close_out oc

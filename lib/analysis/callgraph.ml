@@ -44,17 +44,14 @@ type global = { site : Location.t; blessed : bool }
 type t = {
   globals : (key, global) Hashtbl.t;
   defs : (key, expression) Hashtbl.t;
-  (* binding attributes per def, so downstream passes (the raises
-     analysis) can read [@th.raises]/[@th.allow] declarations without
-     re-walking every structure *)
-  def_attrs : (key, attributes) Hashtbl.t;
   (* module name -> libraries defining a module of that name *)
   mod_libs : (string, SS.t) Hashtbl.t;
   (* wrapper module name (Th_metrics) -> library tag (th_metrics) *)
   wrappers : (string, string) Hashtbl.t;
   (* (lib, modname) -> record field names declared mutable there *)
   mutable_fields : (string * string, SS.t) Hashtbl.t;
-  mutable effects : (key * KS.t) list; (* fixpoint result, assoc *)
+  effects : (key, KS.t) Hashtbl.t;
+      (* fixpoint result: the mutable globals each def reaches *)
 }
 
 let wrapper_of_lib lib = String.capitalize_ascii lib
@@ -200,11 +197,10 @@ let build (sources : Source.t list) =
     {
       globals = Hashtbl.create 64;
       defs = Hashtbl.create 256;
-      def_attrs = Hashtbl.create 256;
       mod_libs = Hashtbl.create 64;
       wrappers = Hashtbl.create 16;
       mutable_fields = Hashtbl.create 32;
-      effects = [];
+      effects = Hashtbl.create 256;
     }
   in
   (* Pass 0: module/library landscape and mutable record fields, so the
@@ -266,10 +262,7 @@ let build (sources : Source.t list) =
                       (Syntax.attr_allows vb.pvb_attributes)
                   in
                   Hashtbl.replace t.globals key { site = vb.pvb_loc; blessed }
-                else begin
-                  Hashtbl.replace t.defs key vb.pvb_expr;
-                  Hashtbl.replace t.def_attrs key vb.pvb_attributes
-                end
+                else Hashtbl.replace t.defs key vb.pvb_expr
             | _ -> ()
           in
           let rec walk ~prefix items =
@@ -314,7 +307,7 @@ let build (sources : Source.t list) =
   in
   let direct = List.sort (fun (a, _) (b, _) -> compare_key a b) direct in
   (* Pass 3: transitive closure over the call graph. *)
-  let table = Hashtbl.create 256 in
+  let table = t.effects in
   List.iter (fun (k, (eff, _)) -> Hashtbl.replace table k eff) direct;
   let changed = ref true in
   while !changed do
@@ -336,7 +329,6 @@ let build (sources : Source.t list) =
         end)
       direct
   done;
-  t.effects <- List.map (fun (k, _) -> (k, Hashtbl.find table k)) direct;
   t
 
 let global_info t key =
@@ -349,21 +341,7 @@ let global_site t key =
         g.site.loc_start.pos_lnum
   | None -> "?"
 
-let def_attrs t key =
-  Option.value ~default:[] (Hashtbl.find_opt t.def_attrs key)
-
-let fold_defs t ~init ~f =
-  let keys =
-    (* th-lint: allow hashtbl-order — collected then sorted by
-       compare_key before the fold, so iteration order is canonical. *)
-    Hashtbl.fold (fun k _ acc -> k :: acc) t.defs []
-    |> List.sort compare_key
-  in
-  List.fold_left
-    (fun acc k -> f acc k (Hashtbl.find t.defs k) (def_attrs t k))
-    init keys
-
 let def_effects t key =
-  match List.find_opt (fun (k, _) -> compare_key k key = 0) t.effects with
-  | Some (_, e) -> KS.elements e
+  match Hashtbl.find_opt t.effects key with
+  | Some e -> KS.elements e
   | None -> []

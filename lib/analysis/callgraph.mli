@@ -9,8 +9,6 @@
 
 type key = { lib : string; modname : string; name : string }
 
-val compare_key : key -> key -> int
-
 val key_to_string : key -> string
 (** ["th_metrics/Bench_log.state"]; the anonymous library prints ["?"]. *)
 
@@ -35,18 +33,6 @@ val global_site : t -> key -> string
 
 val def_effects : t -> key -> key list
 (** Mutable globals transitively reachable from a definition. *)
-
-val def_attrs : t -> key -> Parsetree.attributes
-(** Binding attributes of a definition ([[@th.raises]], [[@th.allow]]);
-    [[]] for unknown keys. *)
-
-val fold_defs :
-  t ->
-  init:'a ->
-  f:('a -> key -> Parsetree.expression -> Parsetree.attributes -> 'a) ->
-  'a
-(** Fold over every definition in canonical ({!compare_key}) order —
-    the deterministic iteration the raises fixpoint relies on. *)
 
 val is_mutable_init :
   t -> lib:string -> modname:string -> Parsetree.expression -> bool

@@ -206,9 +206,9 @@ let check_catch_all ctx cases =
       cases
 
 (* ------------------------------------------------------------------ *)
-(* Rules at domain-crossing sinks: mutable globals reachable from the  *)
-(* closure (pmap-mutable-global) and captured mutable locals           *)
-(* (escape-capture)                                                    *)
+(* Rules at domain-crossing sinks and render callbacks: mutable        *)
+(* globals reachable from the closure (pmap-mutable-global,            *)
+(* pure-render) and captured mutable locals (escape-capture)           *)
 
 let pmap_callee fn =
   match fn.pexp_desc with
@@ -230,17 +230,44 @@ let pmap_callee fn =
       | _ -> None)
   | _ -> None
 
+let render_callee fn =
+  match fn.pexp_desc with
+  | Pexp_ident { txt; _ } -> (
+      match Syntax.last2 (Syntax.flatten_lid txt) with
+      | Some ("Plan", "seal") -> true
+      | _ -> false)
+  | _ -> false
+
+(* The mutable globals a reference to [lid] reaches: the global itself,
+   or — through a call — every global in the callee's effect summary,
+   reported [~via] the callee. *)
+let iter_reachable_globals ctx lid ~f =
+  List.iter
+    (fun key ->
+      match Callgraph.global_info ctx.db key with
+      | Some (_, blessed) -> f key ~via:None ~blessed
+      | None ->
+          List.iter
+            (fun g ->
+              let blessed =
+                match Callgraph.global_info ctx.db g with
+                | Some (_, b) -> b
+                | None -> false
+              in
+              f g ~via:(Some key) ~blessed)
+            (Callgraph.def_effects ctx.db key))
+    (Callgraph.resolve ctx.db ~cur_lib:ctx.lib ~cur_mod:ctx.modname lid)
+
+let via_string = function
+  | None -> ""
+  | Some k -> Printf.sprintf " (via %s.%s)" k.Callgraph.modname k.Callgraph.name
+
 let check_pmap_site ctx callee args =
   let seen = Hashtbl.create 8 in
   let seen_escape = Hashtbl.create 8 in
   let report (loc : Location.t) key ~via ~blessed =
     if not (Hashtbl.mem seen (key, loc.loc_start.pos_lnum)) then begin
       Hashtbl.replace seen (key, loc.loc_start.pos_lnum) ();
-      let via_s =
-        match via with
-        | None -> ""
-        | Some k -> Printf.sprintf " (via %s.%s)" k.Callgraph.modname k.name
-      in
       emit ~force_waive:blessed ctx ~loc ~rule:"pmap-mutable-global"
         (Printf.sprintf
            "mutable global %s (defined at %s) is reachable from a closure \
@@ -248,13 +275,8 @@ let check_pmap_site ctx callee args =
             state to the cell or the serial render path"
            (Callgraph.key_to_string key)
            (Callgraph.global_site ctx.db key)
-           callee via_s)
+           callee (via_string via))
     end
-  in
-  let blessed_of key =
-    match Callgraph.global_info ctx.db key with
-    | Some (_, b) -> b
-    | None -> false
   in
   List.iter
     (fun (_, arg) ->
@@ -281,18 +303,35 @@ let check_pmap_site ctx callee args =
                         \"domain_shared <why it is safe>\"]"
                        n callee)
               | Mut | Safe | Unknown -> ())
-          | _ ->
-              List.iter
-                (fun key ->
-                  match Callgraph.global_info ctx.db key with
-                  | Some (_, blessed) -> report loc key ~via:None ~blessed
-                  | None ->
-                      List.iter
-                        (fun g ->
-                          report loc g ~via:(Some key) ~blessed:(blessed_of g))
-                        (Callgraph.def_effects ctx.db key))
-                (Callgraph.resolve ctx.db ~cur_lib:ctx.lib ~cur_mod:ctx.modname
-                   lid)))
+          | _ -> iter_reachable_globals ctx lid ~f:(report loc)))
+    args
+
+(* A [Plan.seal ~render] callback runs on the serial path, so the
+   escape-capture half does not apply and a [pmap-mutable-global]
+   blessing does not cover it: every reachable global is a finding. *)
+let check_render_site ctx args =
+  let seen = Hashtbl.create 8 in
+  List.iter
+    (fun (label, arg) ->
+      match label with
+      | Asttypes.Labelled "render" | Asttypes.Optional "render" ->
+          Syntax.iter_unshadowed_idents arg ~f:(fun lid loc ->
+              match lid with
+              | Longident.Lident n when shadow_count ctx n > 0 -> ()
+              | _ ->
+                  iter_reachable_globals ctx lid ~f:(fun key ~via ~blessed:_ ->
+                      if not (Hashtbl.mem seen (key, loc.loc_start.pos_lnum))
+                      then begin
+                        Hashtbl.replace seen (key, loc.loc_start.pos_lnum) ();
+                        emit ctx ~loc ~rule:"pure-render"
+                          (Printf.sprintf
+                             "mutable global %s is reachable from a Plan \
+                              render function%s; renders must be \
+                              effect-free — accumulate on the serial path \
+                              after the batch, then render the result"
+                             (Callgraph.key_to_string key) (via_string via))
+                      end))
+      | Asttypes.Nolabel | Asttypes.Labelled _ | Asttypes.Optional _ -> ())
     args
 
 (* ------------------------------------------------------------------ *)
@@ -374,6 +413,7 @@ let run_structure ctx str =
             (match pmap_callee fn with
             | Some callee -> check_pmap_site ctx callee args
             | None -> ());
+            if render_callee fn then check_render_site ctx args;
             sub fn;
             List.iter (fun (_, a) -> sub a) args
         | Pexp_assert
@@ -447,7 +487,6 @@ let analyze ?rules sources =
     || match rules with None -> true | Some l -> List.mem r l
   in
   let db = Callgraph.build sources in
-  let rdb = Raises.build db sources in
   let findings = ref [] and waived = ref [] in
   List.iter
     (fun (s : Source.t) ->
@@ -493,15 +532,6 @@ let analyze ?rules sources =
             }
           in
           run_structure ctx str;
-          (* Raises pass: summaries were computed project-wide up
-             front; per-file rule checks funnel through the same emit,
-             so [@th.allow]/comment waivers divert uniformly. *)
-          List.iter
-            (fun (r : Raises.raw) ->
-              emit ctx ~loc:r.loc ~rule:r.rule
-                ~force_waive:(List.mem r.rule r.allows)
-                r.message)
-            (Raises.check_file rdb s);
           findings := ctx.findings @ !findings;
           waived := ctx.waived @ !waived)
     sources;

@@ -1,7 +1,8 @@
-(** The rule engine: one pass of syntactic rules per file, a
+(** The rule engine: one pass of syntactic rules per file and a
     cross-library effect analysis (mutable globals and escaping
-    captures at domain-crossing sinks), and the exception-flow checks
-    of {!Raises} — all with uniform waiver handling.
+    captures at domain-crossing sinks, mutable globals reachable from
+    [Plan.seal ~render] callbacks) — all with uniform waiver
+    handling.
 
     The escape-capture rule has a dedicated bless token: [@th.allow
     "domain_shared <justification>"] diverts the finding to [waived].

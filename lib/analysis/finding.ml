@@ -1,4 +1,4 @@
-type severity = Error | Warning
+type severity = Error
 
 type t = {
   file : string;
@@ -9,11 +9,10 @@ type t = {
   message : string;
 }
 
-let severity_to_string = function Error -> "error" | Warning -> "warning"
+let severity_to_string = function Error -> "error"
 
 let severity_of_string = function
   | "error" -> Some Error
-  | "warning" -> Some Warning
   | _ -> None
 
 let compare a b =

@@ -5,7 +5,7 @@
     they carry everything needed to locate, explain and gate on a rule
     violation without re-reading the source. *)
 
-type severity = Error | Warning
+type severity = Error  (** every rule's findings gate the build *)
 
 type t = {
   file : string;  (** path as given to the analyzer *)

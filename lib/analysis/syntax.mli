@@ -1,9 +1,9 @@
 (** Shared AST helpers for the analysis passes.
 
     Everything here is purely syntactic: longident flattening, waiver
-    and contract attribute parsing ([[@th.allow "..."]],
-    [[@th.raises "..."]]), pattern variable/constructor collection,
-    and a scope-aware identifier iterator. *)
+    attribute parsing ([[@th.allow "..."]]), pattern
+    variable/constructor collection, and a scope-aware identifier
+    iterator. *)
 
 module SS : Set.S with type elt = string
 
@@ -26,15 +26,6 @@ val attr_allows : Parsetree.attributes -> string list
 (** Rule names (and bless tokens) allowed by [[@th.allow "..."]]
     attributes. A bare ["domain_shared"] payload with no justification
     words yields nothing. *)
-
-val attr_raises :
-  Parsetree.attributes -> (string * string option) list option
-(** Exception constructors declared by [[@th.raises "Exn ..."]]
-    attributes, each with its optional guard argument —
-    ["Io_error(checked)"] parses to [("Io_error", Some "checked")]
-    and only escapes applications passing [~checked] as other than a
-    literal [false]. [Some []] (payload [""] or ["none"]) declares
-    that nothing escapes; [None] means no declaration at all. *)
 
 val pat_vars : Parsetree.pattern -> string list
 

@@ -75,3 +75,11 @@ let render s = s.render ()
 let run_section sched s =
   ignore (Scheduler.run_cells sched (cells s) : unit list);
   render s
+
+let lookup ~name sections s =
+  match List.find_opt (fun x -> String.equal (name x) s) sections with
+  | Some x -> Ok x
+  | None ->
+      Error
+        (Printf.sprintf "unknown section %s; available: %s" s
+           (String.concat ", " (List.map name sections)))

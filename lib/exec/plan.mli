@@ -59,3 +59,8 @@ val render : section -> unit
 val run_section : Scheduler.t -> section -> unit
 (** Submit one section's cells as a batch, then render — for callers
     outside the cross-section harness. *)
+
+val lookup : name:('a -> string) -> 'a list -> string -> ('a, string) result
+(** [lookup ~name sections s] is the first section whose [name] is [s];
+    an unknown name is an [Error] that lists the available ones. The
+    bench harness resolves its section arguments with it. *)

@@ -78,3 +78,17 @@ let to_text events =
       Buffer.add_char b '\n')
     events;
   Buffer.contents b
+
+type format = [ `Chrome | `Text ]
+
+let format_of_string = function
+  | "chrome" -> Ok `Chrome
+  | "text" -> Ok `Text
+  | other -> Error (Printf.sprintf "expects chrome or text, got %S" other)
+
+let format_to_string = function `Chrome -> "chrome" | `Text -> "text"
+
+let export format events =
+  match format with
+  | `Chrome -> to_chrome_json events
+  | `Text -> to_text events

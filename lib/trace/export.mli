@@ -19,3 +19,15 @@ val to_text : Event.t list -> string
 (** The compact deterministic text form used by golden tests: one line
     per event — [lane ts kind cat name k=v ...] — with timestamps in
     nanoseconds at fixed precision. *)
+
+type format = [ `Chrome | `Text ]
+
+val format_of_string : string -> (format, string) result
+(** The [--trace-format] grammar shared by [teraheap_sim] and the bench
+    harness: ["chrome"] or ["text"]; anything else is an [Error] naming
+    the value. *)
+
+val format_to_string : format -> string
+
+val export : format -> Event.t list -> string
+(** {!to_chrome_json} or {!to_text}. *)

@@ -257,9 +257,8 @@ let arbitrary_finding =
     int_range 0 100_000 >>= fun line ->
     int_range 0 500 >>= fun col ->
     oneofl (List.map (fun (r : Rule.t) -> r.name) Rule.all) >>= fun rule ->
-    oneofl [ Finding.Error; Finding.Warning ] >>= fun severity ->
     str >>= fun message ->
-    return { Finding.file; line; col; rule; severity; message }
+    return { Finding.file; line; col; rule; severity = Finding.Error; message }
   in
   QCheck.make gen
 
@@ -285,13 +284,15 @@ let test_json_rejects () =
     [
       ("unknown version", {|{"version":2,"findings":[],"waived":[]}|});
       ("unknown severity", finding {|"fatal"|});
+      (* No rule gives a warning: the severity is gone from the schema. *)
+      ("warning severity", finding {|"warning"|});
       ("unknown field", finding {|"error","owner":"x"|});
       ("non-integer line", finding {|"error","col":1.5|});
       ("malformed JSON", {|{"version":1,"findings":[|});
     ];
-  match Report.of_json (finding {|"warning"|}) with
+  match Report.of_json (finding {|"error"|}) with
   | Ok ([ f ], []) ->
-      Alcotest.(check string) "severity parsed" "warning"
+      Alcotest.(check string) "severity parsed" "error"
         (Finding.severity_to_string f.Finding.severity)
   | Ok _ -> Alcotest.fail "wrong shape"
   | Error e -> Alcotest.failf "well-formed report rejected: %s" e
@@ -340,99 +341,6 @@ let test_policy_capture_atomic_clean () =
   then Alcotest.fail "Atomic-backed policy state must not be flagged"
 
 (* ------------------------------------------------------------------ *)
-(* Exception flow: seeded regression — deleting the Io_retry guard in  *)
-(* the block-manager fixture must trip fault-barrier by name           *)
-
-let test_block_manager_regression () =
-  let guarded = analyze_fixture "block_manager_guarded.ml" in
-  if
-    has_rule "fault-barrier" guarded.Engine.findings
-    || has_rule "fault-barrier" guarded.Engine.waived
-  then Alcotest.fail "guarded block-manager fixture must be barrier-clean";
-  let unguarded = analyze_fixture "block_manager_unguarded.ml" in
-  match
-    List.filter
-      (fun f -> String.equal f.Finding.rule "fault-barrier")
-      unguarded.Engine.findings
-  with
-  | [] -> Alcotest.fail "deleting the Io_retry guard must trip fault-barrier"
-  | f :: _ ->
-      Alcotest.(check bool) "finding names Io_error" true
-        (contains_sub f.Finding.message "Io_error")
-
-(* qcheck: a [@th.raises] declaration fixes the summary callers see —
-   whatever the body raises, inference never widens it. The twin
-   definition without the annotation checks inference still sees the
-   body's raises exactly. *)
-module Callgraph = Th_analysis.Callgraph
-module Raises = Th_analysis.Raises
-
-let ctor_universe = [ "Alpha"; "Beta"; "Gamma"; "Delta" ]
-
-let prop_declared_never_widened =
-  QCheck.Test.make ~count:100
-    ~name:"[@th.raises] summaries are never widened by inference"
-    (QCheck.make QCheck.Gen.(pair (int_bound 15) (int_bound 15)))
-    (fun (dbits, bbits) ->
-      let subset bits =
-        List.filteri (fun i _ -> bits land (1 lsl i) <> 0) ctor_universe
-      in
-      let declared = subset dbits and body = subset bbits in
-      let raises_of = function
-        | [] -> "()"
-        | cs -> String.concat "; " (List.map (fun c -> "raise " ^ c) cs)
-      in
-      let src =
-        Printf.sprintf
-          "exception Alpha\n\
-           exception Beta\n\
-           exception Gamma\n\
-           exception Delta\n\
-           let f () = %s [@@th.raises %S]\n\
-           let g () = %s\n"
-          (raises_of body)
-          (String.concat " " declared)
-          (raises_of body)
-      in
-      match Source.parse_string ~file:"lib/core/raises_probe.ml" src with
-      | Error m -> QCheck.Test.fail_reportf "probe does not parse: %s" m
-      | Ok s ->
-          let db = Callgraph.build [ s ] in
-          let t = Raises.build db [ s ] in
-          let key name =
-            { Callgraph.lib = "th_core"; modname = "Raises_probe"; name }
-          in
-          Raises.summary t (key "f") = List.sort String.compare declared
-          && Raises.summary t (key "g") = List.sort String.compare body)
-
-(* The fixpoint visits defs in canonical key order, so two analyses of
-   the same sources must serialize byte-identically. *)
-let test_raises_determinism () =
-  let files =
-    [
-      "block_manager_guarded.ml";
-      "block_manager_unguarded.ml";
-      "fault_barrier_pos.ml";
-      "cell_boundary_pos.ml";
-      "pure_render_pos.ml";
-    ]
-  in
-  let run () =
-    let sources =
-      List.map
-        (fun file ->
-          match Source.parse_file (Filename.concat fixture_dir file) with
-          | Ok s -> s
-          | Error m -> Alcotest.failf "%s does not parse: %s" file m)
-        files
-    in
-    let r = Engine.analyze sources in
-    Report.to_json ~waived:r.Engine.waived r.Engine.findings
-  in
-  Alcotest.(check string) "byte-identical JSON across two runs" (run ())
-    (run ())
-
-(* ------------------------------------------------------------------ *)
 (* File-system checks over the pos/neg fixture trees                   *)
 
 module Fscheck = Th_analysis.Fscheck
@@ -473,11 +381,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_json_roundtrip;
     Alcotest.test_case "JSON report rejects schema violations" `Quick
       test_json_rejects;
-    Alcotest.test_case "seeded regression: unguarded block manager rejected"
-      `Quick test_block_manager_regression;
-    QCheck_alcotest.to_alcotest prop_declared_never_widened;
-    Alcotest.test_case "raises fixpoint is deterministic" `Quick
-      test_raises_determinism;
     Alcotest.test_case "missing-mli pos/neg fixture trees" `Quick
       test_missing_mli_fixtures;
     Alcotest.test_case "rule registry lookups" `Quick test_explain_unknown_rule;
